@@ -56,7 +56,7 @@ from .registration import (
     rotation_to_quaternion,
     verify,
 )
-from .pipeline import Association, associate_scans, match_residuals, matchset_from_pairs
+from .pipeline import Association, associate_scans, match_residuals
 from .scan_io import SCHEMA_VERSION, ScanFormatError, load_scan, save_scan
 from .scene_sim import (
     TIER_TABLE,

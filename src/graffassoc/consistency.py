@@ -9,8 +9,9 @@ with a Gaussian kernel of width sigma.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from itertools import product
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -41,25 +42,61 @@ class DistanceFn(str, Enum):
     NORMAL_DOT_DIRECTION = "normal_dot_direction"
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class Scan:
     """Ordered collection of landmark objects, optionally with centroids.
 
     Centroid metadata is only needed by the centroid-based distance
     functions; geometry-only pipelines can leave it out.
+
+    The geometry is also stacked once, at construction, into the arrays the
+    matcher reads: `kinds` (subspace dimension per object), `groups` (per
+    dimension present, lines first: the object indices and their stacked
+    bases), `b0` (orthogonal displacements), `rep` (a line's direction, a
+    plane's unit normal) and `centroids` as an n x 3 array.
     """
 
     id: str
     objects: tuple[GraffElement, ...]
-    centroids: tuple | None = None
+    centroids: np.ndarray | None = None
+    kinds: np.ndarray = field(init=False, repr=False)
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False, repr=False)
+    b0: np.ndarray = field(init=False, repr=False)
+    rep: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "objects", tuple(self.objects))
+        objects = tuple(self.objects)
+        n = len(objects)
         if self.centroids is not None:
-            cents = tuple(np.asarray(c, dtype=float) for c in self.centroids)
-            if len(cents) != len(self.objects):
+            cents = np.array(self.centroids, dtype=float).reshape(len(self.centroids), 3)
+            if len(cents) != n:
                 raise ValueError("centroids must align one-to-one with objects")
-            object.__setattr__(self, "centroids", cents)
+            object.__setattr__(self, "centroids", _frozen(cents))
+        kinds = np.array([el.k for el in objects], dtype=int)
+        groups = []
+        for k in (1, 2):
+            idx = np.flatnonzero(kinds == k)
+            if idx.size:
+                groups.append((_frozen(idx), _frozen(np.stack([objects[i].A for i in idx]))))
+        rep = np.zeros((n, 3))
+        for idx, A in groups:
+            if A.shape[2] == 1:
+                rep[idx] = A[:, :, 0]
+            else:
+                normal = np.cross(A[:, :, 0], A[:, :, 1])
+                # a 1x3 @ 3x1 product sums like the norm of one vector does,
+                # so each normal is bit-identical to normalizing it alone
+                rep[idx] = normal / np.sqrt(normal[:, None, :] @ normal[:, :, None])[:, 0]
+        object.__setattr__(self, "objects", objects)
+        object.__setattr__(self, "kinds", _frozen(kinds))
+        object.__setattr__(self, "groups", tuple(groups))
+        object.__setattr__(self, "b0", _frozen(np.array([el.b0 for el in objects], dtype=float).reshape(n, 3)))
+        object.__setattr__(self, "rep", _frozen(rep))
 
     def __len__(self) -> int:
         return len(self.objects)
@@ -83,12 +120,8 @@ class ConsistencyParams:
 
 def generate_candidates(scan_i: Scan, scan_j: Scan) -> list[Candidate]:
     """All same-dimension object pairings, in lexicographic (a, b) order."""
-    return [
-        Candidate(a, b)
-        for a, el_a in enumerate(scan_i.objects)
-        for b, el_b in enumerate(scan_j.objects)
-        if el_a.k == el_b.k
-    ]
+    a_idx, b_idx = np.nonzero(scan_i.kinds[:, None] == scan_j.kinds[None, :])
+    return [Candidate(a, b) for a, b in zip(a_idx.tolist(), b_idx.tolist())]
 
 
 def weight(c: float, params: ConsistencyParams) -> float:
@@ -139,63 +172,49 @@ def unique_matches(
     return tuple(sorted(kept))
 
 
-def _kind_groups(objects: Sequence[GraffElement]) -> list[tuple[list[int], int]]:
-    lines = [i for i, el in enumerate(objects) if el.k == 1]
-    planes = [i for i, el in enumerate(objects) if el.k == 2]
-    return [(idx, k) for idx, k in ((lines, 1), (planes, 2)) if idx]
+def _direction_angle_sq(scan: Scan) -> np.ndarray:
+    """Sum of squared principal angles between the direction subspaces of
+    every object pair, batched per pair of dimensions so the small SVDs run
+    vectorized.  The direction part of both Grassmannian distances."""
+    D = np.zeros((len(scan), len(scan)))
+    for (idx_x, Ax), (idx_y, Ay) in product(scan.groups, repeat=2):
+        sigma = np.linalg.svd(np.einsum("xak,yal->xykl", Ax, Ay), compute_uv=False)
+        D[np.ix_(idx_x, idx_y)] = np.sum(np.arccos(np.clip(sigma, 0.0, 1.0)) ** 2, axis=2)
+    return D
 
 
 def internal_distance_matrix(scan: Scan, rho: float) -> np.ndarray:
     """All pairwise shifted distances within one scan, as an n x n array.
 
     This is the cache that turns the O(m^2) affinity construction into
-    O(n^2) distance evaluations; pairs are batched by dimension so the
-    small SVDs run vectorized.
+    O(n^2) distance evaluations.
     """
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    n = len(scan.objects)
-    D = np.zeros((n, n))
-    if n == 0:
-        return D
-    b0 = np.stack([el.b0 for el in scan.objects])
-    for idx_x, kx in _kind_groups(scan.objects):
-        Ax = np.stack([scan.objects[i].A for i in idx_x])  # (nx, 3, kx)
-        for idx_y, ky in _kind_groups(scan.objects):
-            Ay = np.stack([scan.objects[i].A for i in idx_y])
-            nx, ny = len(idx_x), len(idx_y)
-            # direction-subspace angles
-            sigma = np.linalg.svd(np.einsum("xak,yal->xykl", Ax, Ay), compute_uv=False)
-            th_dir_sq = np.sum(np.arccos(np.clip(sigma, 0.0, 1.0)) ** 2, axis=2)
-            # minimal separation: displacement outside the joint span
-            joint = np.concatenate(
-                [np.broadcast_to(Ax[:, None], (nx, ny, 3, kx)), np.broadcast_to(Ay[None, :], (nx, ny, 3, ky))],
-                axis=3,
-            )
-            U, s, _ = np.linalg.svd(joint, full_matrices=True)
-            delta = b0[idx_y][None, :, :] - b0[idx_x][:, None, :]
-            coeff = np.einsum("xyac,xya->xyc", U, delta)
-            keep = np.zeros((nx, ny, 3))
-            keep[..., : s.shape[2]] = s > _SPAN_RANK_TOL
-            r = delta - np.einsum("xyac,xyc->xya", U, coeff * keep)
-            gap = np.sqrt(np.sum(r * r, axis=2))
-            th_aff = np.arctan(gap / rho)
-            D[np.ix_(idx_x, idx_y)] = np.sqrt(th_dir_sq + th_aff * th_aff)
+    gap = np.zeros((len(scan), len(scan)))
+    for (idx_x, Ax), (idx_y, Ay) in product(scan.groups, repeat=2):
+        # minimal separation: displacement outside the joint span
+        nx, kx = len(idx_x), Ax.shape[2]
+        ny, ky = len(idx_y), Ay.shape[2]
+        joint = np.concatenate(
+            [np.broadcast_to(Ax[:, None], (nx, ny, 3, kx)), np.broadcast_to(Ay[None, :], (nx, ny, 3, ky))],
+            axis=3,
+        )
+        U, s, _ = np.linalg.svd(joint, full_matrices=True)
+        delta = scan.b0[idx_y][None, :, :] - scan.b0[idx_x][:, None, :]
+        coeff = np.einsum("xyac,xya->xyc", U, delta)
+        keep = np.zeros((nx, ny, 3))
+        keep[..., : s.shape[2]] = s > _SPAN_RANK_TOL
+        r = delta - np.einsum("xyac,xyc->xya", U, coeff * keep)
+        gap[np.ix_(idx_x, idx_y)] = np.sqrt(np.sum(r * r, axis=2))
+    th_aff = np.arctan(gap / rho)
+    D = np.sqrt(_direction_angle_sq(scan) + th_aff * th_aff)
     np.fill_diagonal(D, 0.0)
     return D
 
 
 def _gr_distance_matrix(scan: Scan) -> np.ndarray:
-    n = len(scan.objects)
-    D = np.zeros((n, n))
-    for idx_x, kx in _kind_groups(scan.objects):
-        Ax = np.stack([scan.objects[i].A for i in idx_x])
-        for idx_y, ky in _kind_groups(scan.objects):
-            Ay = np.stack([scan.objects[i].A for i in idx_y])
-            G = np.einsum("xak,yal->xykl", Ax, Ay)
-            sigma = np.linalg.svd(G, compute_uv=False)
-            th = np.arccos(np.clip(sigma, 0.0, 1.0))
-            D[np.ix_(idx_x, idx_y)] = np.sqrt(np.sum(th * th, axis=2))
+    D = np.sqrt(_direction_angle_sq(scan))
     np.fill_diagonal(D, 0.0)
     return D
 
@@ -203,17 +222,7 @@ def _gr_distance_matrix(scan: Scan) -> np.ndarray:
 def _rep_vector_angle_matrix(scan: Scan) -> np.ndarray:
     """Angle between single representative vectors: a line's direction, a
     plane's normal.  The naive direction/normal dot-product baseline."""
-    n = len(scan.objects)
-    if n == 0:
-        return np.zeros((0, 0))
-    reps = np.zeros((n, 3))
-    for i, el in enumerate(scan.objects):
-        if el.k == 1:
-            reps[i] = el.A[:, 0]
-        else:
-            normal = np.cross(el.A[:, 0], el.A[:, 1])
-            reps[i] = normal / np.linalg.norm(normal)
-    D = np.arccos(np.clip(np.abs(reps @ reps.T), 0.0, 1.0))
+    D = np.arccos(np.clip(np.abs(scan.rep @ scan.rep.T), 0.0, 1.0))
     np.fill_diagonal(D, 0.0)
     return D
 
@@ -221,8 +230,7 @@ def _rep_vector_angle_matrix(scan: Scan) -> np.ndarray:
 def _centroid_distance_matrix(scan: Scan) -> np.ndarray:
     if scan.centroids is None:
         raise ValueError(f"scan {scan.id!r} lacks centroid metadata required by this distance function")
-    C = np.stack(scan.centroids)
-    diff = C[:, None, :] - C[None, :, :]
+    diff = scan.centroids[:, None, :] - scan.centroids[None, :, :]
     return np.sqrt(np.sum(diff * diff, axis=2))
 
 
@@ -258,8 +266,7 @@ def build_affinity(
         raise ValueError(f"candidate set of size {m} exceeds the cap of {max_candidates}")
     if m == 0:
         return np.zeros((0, 0)), candidates
-    a_idx = np.array([c.a for c in candidates])
-    b_idx = np.array([c.b for c in candidates])
+    a_idx, b_idx = np.array(candidates).T
 
     if distance_fn is DistanceFn.GR_TIMES_EUCLIDEAN:
         # Product of an angular and a radial kernel, each with its own gate;

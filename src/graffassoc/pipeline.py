@@ -22,7 +22,9 @@ from .consistency import (
     build_affinity,
     unique_matches,
 )
-from .graff_core import RigidTransform, to_hesse, to_pd, transform_line, transform_plane
+from .graff_core import RigidTransform
+# Unused here: kept so perfbench/tracing.py can still count calls under these names.
+from .graff_core import to_hesse, to_pd, transform_line, transform_plane  # noqa: F401
 from .registration import (
     DegenerateConfigurationError,
     InsufficientMatchesError,
@@ -33,7 +35,6 @@ from .registration import (
 __all__ = [
     "Association",
     "associate_scans",
-    "matchset_from_pairs",
     "match_residuals",
     "MAX_ANGLE_RESIDUAL_RAD",
     "MAX_OFFSET_RESIDUAL_M",
@@ -62,49 +63,37 @@ class Association:
     failure: str | None
 
 
-def matchset_from_pairs(scan_i: Scan, scan_j: Scan, pairs) -> MatchSet:
-    line_pairs = []
-    plane_pairs = []
-    for a, b in pairs:
-        el_i = scan_i.objects[a]
-        el_j = scan_j.objects[b]
-        if el_i.k == 1:
-            line_pairs.append((to_pd(el_i), to_pd(el_j)))
-        else:
-            plane_pairs.append((to_hesse(el_i), to_hesse(el_j)))
-    return MatchSet(tuple(line_pairs), tuple(plane_pairs))
+def _match_set(scan_i: Scan, scan_j: Scan, pairs) -> MatchSet:
+    a, b = np.array(pairs).T
+    return MatchSet.stacked(scan_i.kinds[a] == 1, scan_i.rep[a], scan_i.b0[a], scan_j.rep[b], scan_j.b0[b])
 
 
-def match_residuals(scan_i: Scan, scan_j: Scan, pairs, transform: RigidTransform):
+def match_residuals(matches: MatchSet, transform: RigidTransform):
     """Per-match alignment residuals under a transform: (angles rad, offsets m).
 
     Lines: angle between transformed and target directions (sign-free) and
     the perpendicular distance between the two lines.  Planes: angle between
     normals and the offset difference after sign alignment.
     """
-    angles = np.zeros(len(pairs))
-    offsets = np.zeros(len(pairs))
-    for idx, (a, b) in enumerate(pairs):
-        el_i, el_j = scan_i.objects[a], scan_j.objects[b]
-        if el_i.k == 1:
-            moved = transform_line(to_pd(el_i), transform)
-            target = to_pd(el_j)
-            angles[idx] = np.arccos(np.clip(abs(float(moved.a @ target.a)), 0.0, 1.0))
-            proj = np.eye(3) - np.outer(target.a, target.a)
-            offsets[idx] = float(np.linalg.norm(proj @ (moved.p - target.p)))
-        else:
-            moved = transform_plane(to_hesse(el_i), transform)
-            target = to_hesse(el_j)
-            dot = float(moved.n @ target.n)
-            angles[idx] = np.arccos(np.clip(abs(dot), 0.0, 1.0))
-            sign = 1.0 if dot >= 0 else -1.0
-            offsets[idx] = abs(moved.d - sign * target.d)
-    return angles, offsets
+    rep = matches.src_rep @ transform.R.T
+    dot = np.einsum("na,na->n", rep, matches.tgt_rep)
+    angles = np.arccos(np.clip(np.abs(dot), 0.0, 1.0))
+    # Line offsets: foot point of the moved line, measured across the target.
+    p = matches.src_b0 @ transform.R.T + transform.t
+    p -= rep * np.einsum("na,na->n", rep, p)[:, None]
+    r = p - matches.tgt_b0
+    r -= matches.tgt_rep * np.einsum("na,na->n", matches.tgt_rep, r)[:, None]
+    line_offsets = np.sqrt(np.einsum("na,na->n", r, r))
+    # Plane offsets are signed (d = n . b0); the moved one gains n'.t.
+    d_moved = np.einsum("na,na->n", matches.src_rep, matches.src_b0) + rep @ transform.t
+    d_target = np.einsum("na,na->n", matches.tgt_rep, matches.tgt_b0)
+    plane_offsets = np.abs(d_moved - np.where(dot >= 0, 1.0, -1.0) * d_target)
+    return angles, np.where(matches.is_line, line_offsets, plane_offsets)
 
 
-def _try_estimate(scan_i: Scan, scan_j: Scan, pairs):
+def _try_estimate(matches: MatchSet):
     try:
-        return estimate_transform(matchset_from_pairs(scan_i, scan_j, pairs)), None
+        return estimate_transform(matches), None
     except (InsufficientMatchesError, DegenerateConfigurationError) as exc:
         return None, str(exc)
 
@@ -127,14 +116,15 @@ def associate_scans(
 
     if len(chosen) < 3:
         return failed(f"only {len(chosen)} correspondences found, need at least 3")
-    transform, reason = _try_estimate(scan_i, scan_j, chosen)
+    matches = _match_set(scan_i, scan_j, chosen)
+    transform, reason = _try_estimate(matches)
     if transform is None:
         return failed(reason)
 
     # Drop the single worst residual violator and re-fit until the set is
     # self-consistent; one bad match can bias the first estimate enough to
     # make good matches look bad, so removals are one at a time.
-    angles, offsets = match_residuals(scan_i, scan_j, chosen, transform)
+    angles, offsets = match_residuals(matches, transform)
     while True:
         violation = np.maximum(angles / MAX_ANGLE_RESIDUAL_RAD, offsets / MAX_OFFSET_RESIDUAL_M)
         worst = int(np.argmax(violation))
@@ -143,10 +133,11 @@ def associate_scans(
         if len(chosen) - 1 < 3:
             return failed("matches are mutually inconsistent under the estimated transform")
         chosen = chosen[:worst] + chosen[worst + 1 :]
-        transform, reason = _try_estimate(scan_i, scan_j, chosen)
+        matches = _match_set(scan_i, scan_j, chosen)
+        transform, reason = _try_estimate(matches)
         if transform is None:
             return failed(reason)
-        angles, offsets = match_residuals(scan_i, scan_j, chosen, transform)
+        angles, offsets = match_residuals(matches, transform)
     return Association(
         n_candidates=len(candidates),
         matches=chosen,

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graff_core import LinePD, PlaneHesse, RigidTransform, from_pd
+from .graff_core import LinePD, RigidTransform, orthogonal_displacement
+# Unused here: kept so perfbench/tracing.py can still count calls under this name.
+from .graff_core import from_pd  # noqa: F401
 
 __all__ = [
     "MatchSet",
@@ -42,19 +44,37 @@ class DegenerateConfigurationError(ValueError):
     """Matches exist but do not pin down all six degrees of freedom."""
 
 
-@dataclass(frozen=True)
 class MatchSet:
-    """Matched (source, target) line pairs and plane pairs."""
+    """Matched (source, target) lines and planes, stacked one row per match.
 
-    line_pairs: tuple[tuple[LinePD, LinePD], ...] = ()
-    plane_pairs: tuple[tuple[PlaneHesse, PlaneHesse], ...] = ()
+    Each side of a row is the object's representative vector (a line's
+    direction, a plane's unit normal) and its orthogonal displacement b0.
+    Plane offsets are read as the signed d = n . b0, so a normal of either
+    sign describes the same plane.  Build from `LinePD`/`PlaneHesse` pairs,
+    lines first, or from arrays with :meth:`stacked`.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "line_pairs", tuple(self.line_pairs))
-        object.__setattr__(self, "plane_pairs", tuple(self.plane_pairs))
+    def __init__(self, line_pairs=(), plane_pairs=()):
+        lines = [(s.a, _line_b0(s), t.a, _line_b0(t)) for s, t in line_pairs]
+        planes = [(s.n, s.d * s.n, t.n, t.d * t.n) for s, t in plane_pairs]
+        self.is_line = np.arange(len(lines) + len(planes)) < len(lines)
+        stacked = np.array(lines + planes, dtype=float).reshape(-1, 4, 3).transpose(1, 0, 2)
+        self.src_rep, self.src_b0, self.tgt_rep, self.tgt_b0 = stacked
+
+    @classmethod
+    def stacked(cls, is_line, src_rep, src_b0, tgt_rep, tgt_b0) -> "MatchSet":
+        """Match set from per-row arrays: a bool line mask and four n x 3 arrays."""
+        matches = cls()
+        matches.is_line = np.asarray(is_line, dtype=bool)
+        matches.src_rep, matches.src_b0, matches.tgt_rep, matches.tgt_b0 = src_rep, src_b0, tgt_rep, tgt_b0
+        return matches
 
     def __len__(self) -> int:
-        return len(self.line_pairs) + len(self.plane_pairs)
+        return len(self.is_line)
+
+
+def _line_b0(line: LinePD) -> np.ndarray:
+    return orthogonal_displacement(line.a[:, None], line.p)
 
 
 @dataclass(frozen=True)
@@ -77,55 +97,31 @@ def _kabsch(H: np.ndarray) -> np.ndarray:
     return V @ D @ U.T
 
 
-def estimate_transform(matches: MatchSet, weights: np.ndarray | None = None) -> RigidTransform:
+def estimate_transform(matches: MatchSet) -> RigidTransform:
     """Estimate the rigid transform mapping source objects onto targets.
-
-    `weights`, when given, holds one nonnegative weight per match, lines
-    first then planes; the default weights every constraint equally.
 
     Raises InsufficientMatchesError below 3 matches and
     DegenerateConfigurationError when rotation or translation is not fully
     constrained (e.g. all planes parallel).
     """
-    n_lines = len(matches.line_pairs)
     n_total = len(matches)
     if n_total < MIN_MATCHES:
         raise InsufficientMatchesError(f"need at least {MIN_MATCHES} matches, got {n_total}")
-    if weights is None:
-        w = np.ones(n_total)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (n_total,) or np.any(w < 0):
-            raise ValueError("weights must be one nonnegative value per match")
+    R, signs = _resolve_rotation(matches.src_rep, matches.tgt_rep)
 
-    # Stack direction/normal pairs: lines first, planes after.
-    X = np.zeros((n_total, 3))
-    Y = np.zeros((n_total, 3))
-    for i, (src, tgt) in enumerate(matches.line_pairs):
-        X[i], Y[i] = src.a, tgt.a
-    for i, (src, tgt) in enumerate(matches.plane_pairs):
-        X[n_lines + i], Y[n_lines + i] = src.n, tgt.n
+    line, plane = matches.is_line, ~matches.is_line
+    # A line only constrains translation across its direction.
+    a = matches.tgt_rep[line]
+    proj = np.eye(3) - a[:, :, None] * a[:, None, :]
+    line_rhs = np.einsum("nab,nb->na", proj, matches.tgt_b0[line] - matches.src_b0[line] @ R.T)
+    # A plane moves its offset by n.t along the sign-aligned target normal.
+    n = signs[plane, None] * matches.tgt_rep[plane]
+    plane_rhs = np.einsum("na,na->n", n, matches.tgt_b0[plane]) - np.einsum(
+        "na,na->n", matches.src_rep[plane], matches.src_b0[plane]
+    )
 
-    R, signs = _resolve_rotation(X, Y, w)
-
-    sw = np.sqrt(w)
-    rows = []
-    rhs = []
-    for i, (src, tgt) in enumerate(matches.line_pairs):
-        # A line only constrains translation across its direction.
-        proj = np.eye(3) - np.outer(tgt.a, tgt.a)
-        b0_src = from_pd(src).b0
-        b0_tgt = from_pd(tgt).b0
-        rows.append(sw[i] * proj)
-        rhs.append(sw[i] * (proj @ (b0_tgt - R @ b0_src)))
-    for i, (src, tgt) in enumerate(matches.plane_pairs):
-        s = signs[n_lines + i]
-        swi = sw[n_lines + i]
-        rows.append(swi * (s * tgt.n)[None, :])
-        rhs.append(np.array([swi * (s * tgt.d - src.d)]))
-
-    A = np.vstack(rows)
-    b = np.concatenate(rhs)
+    A = np.concatenate([proj.reshape(-1, 3), n])
+    b = np.concatenate([line_rhs.reshape(-1), plane_rhs])
     sv = np.linalg.svd(A, compute_uv=False)
     if sv.size < 3 or sv[2] <= _RANK_RTOL * sv[0]:
         raise DegenerateConfigurationError("translation is not fully constrained by these matches")
@@ -133,14 +129,13 @@ def estimate_transform(matches: MatchSet, weights: np.ndarray | None = None) -> 
     return RigidTransform(R, t)
 
 
-def _resolve_rotation(X: np.ndarray, Y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _resolve_rotation(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Best rotation given per-match sign ambiguity of directions/normals.
 
     Seeds: the two least-parallel source vectors.  For each of the four sign
     hypotheses on the seeds, remaining signs follow from agreement under the
     seed rotation; the hypothesis with the lowest total residual wins.
     """
-    n = X.shape[0]
     dots = np.abs(X @ X.T)
     np.fill_diagonal(dots, np.inf)
     i, j = np.unravel_index(int(np.argmin(dots)), dots.shape)
@@ -155,9 +150,9 @@ def _resolve_rotation(X: np.ndarray, Y: np.ndarray, w: np.ndarray) -> tuple[np.n
             agreement = np.einsum("na,na->n", Y, X @ R_seed.T)
             signs = np.where(agreement >= 0.0, 1.0, -1.0)
             signs[i], signs[j] = s1, s2
-            H = (X * w[:, None]).T @ (Y * signs[:, None])
+            H = X.T @ (Y * signs[:, None])
             R = _kabsch(H)
-            residual = float(np.sum(w * (2.0 - 2.0 * signs * np.einsum("na,na->n", Y, X @ R.T))))
+            residual = float(np.sum(2.0 - 2.0 * signs * np.einsum("na,na->n", Y, X @ R.T)))
             if best is None or residual < best[0] - 1e-15:
                 best = (residual, R, signs, H)
     _, R, signs, H = best

@@ -203,11 +203,8 @@ def _perturb(el: GraffElement, rng: np.random.Generator, pcfg: PairConfig) -> Gr
 
 def _object_extent(scan: Scan) -> float:
     """Rough workspace size, for placing clutter where the objects live."""
-    if scan.centroids is not None and len(scan.centroids) >= 2:
-        pts = np.stack(scan.centroids)
-    elif len(scan.objects) >= 2:
-        pts = np.stack([el.b0 for el in scan.objects])
-    else:
+    pts = scan.b0 if scan.centroids is None else scan.centroids
+    if len(pts) < 2:
         return SceneConfig().effective_extent
     return max(float(np.max(pts.max(axis=0) - pts.min(axis=0))), 10.0)
 

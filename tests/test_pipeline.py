@@ -1,0 +1,214 @@
+import json
+
+import numpy as np
+import pytest
+
+from conftest import random_line, random_plane, random_transform, rot_angle_rad
+from graffassoc import (
+    DistanceFn,
+    GraffElement,
+    MatchSet,
+    PairConfig,
+    RigidTransform,
+    Scan,
+    SceneConfig,
+    associate_scans,
+    estimate_transform,
+    generate_scene,
+    make_loop_pair,
+    match_residuals,
+    rotation_about_axis,
+    to_hesse,
+    to_pd,
+    transform_line,
+    transform_plane,
+    verify,
+)
+from graffassoc.cli import main
+from graffassoc.pipeline import _match_set
+from graffassoc.scan_io import save_scan
+
+
+def reference_matchset(scan_i, scan_j, pairs):
+    """Per-object LinePD / PlaneHesse pairs, lines first."""
+    line_pairs, plane_pairs = [], []
+    for a, b in pairs:
+        el_i, el_j = scan_i.objects[a], scan_j.objects[b]
+        if el_i.k == 1:
+            line_pairs.append((to_pd(el_i), to_pd(el_j)))
+        else:
+            plane_pairs.append((to_hesse(el_i), to_hesse(el_j)))
+    return MatchSet(line_pairs, plane_pairs)
+
+
+def reference_residuals(scan_i, scan_j, pairs, transform):
+    """Per-match loop over the per-object forms, in `pairs` order."""
+    angles, offsets = np.zeros(len(pairs)), np.zeros(len(pairs))
+    for idx, (a, b) in enumerate(pairs):
+        el_i, el_j = scan_i.objects[a], scan_j.objects[b]
+        if el_i.k == 1:
+            moved, target = transform_line(to_pd(el_i), transform), to_pd(el_j)
+            angles[idx] = np.arccos(np.clip(abs(float(moved.a @ target.a)), 0.0, 1.0))
+            proj = np.eye(3) - np.outer(target.a, target.a)
+            offsets[idx] = float(np.linalg.norm(proj @ (moved.p - target.p)))
+        else:
+            moved, target = transform_plane(to_hesse(el_i), transform), to_hesse(el_j)
+            dot = float(moved.n @ target.n)
+            angles[idx] = np.arccos(np.clip(abs(dot), 0.0, 1.0))
+            offsets[idx] = abs(moved.d - (1.0 if dot >= 0 else -1.0) * target.d)
+    return angles, offsets
+
+
+def flipped(el):
+    """Same subspace with the opposite normal (planes) or direction (lines)."""
+    return GraffElement(-el.A if el.k == 1 else el.A[:, ::-1], el.b0)
+
+
+def noisy_mix(rng, n_lines, n_planes):
+    """Scan i, a noisy moved copy j (some normals flipped, one plane through
+    the origin) and the shuffled identity pairs.
+
+    Direction noise stays at least 5 mrad: arccos turns a one-ulp change in
+    a dot product into 1e-16 / sin(angle) rad, so two roundings of the same
+    residual agree to 1e-12 only away from zero.
+    """
+    objects = [random_line(rng) for _ in range(n_lines)] + [random_plane(rng) for _ in range(n_planes)]
+    objects[n_lines] = GraffElement(objects[n_lines].A, np.zeros(3))  # plane with d = 0
+    T = random_transform(rng, span=20.0)
+    moved = []
+    for el in objects:
+        A = rotation_about_axis(rng.normal(size=3), rng.uniform(0.005, 0.05)) @ (T.R @ el.A)
+        b = T.R @ el.b0 + T.t + rng.normal(0.0, 0.05, 3)
+        out = GraffElement.from_affine(A, b)
+        moved.append(flipped(out) if rng.uniform() < 0.5 else out)
+    pairs = [(k, k) for k in rng.permutation(len(objects)).tolist()]
+    return Scan("i", tuple(objects)), Scan("j", tuple(moved)), pairs, T
+
+
+class TestArrayPathOracles:
+    def test_residuals_match_per_object_loop(self):
+        rng = np.random.default_rng(40)
+        for _ in range(50):
+            scan_i, scan_j, pairs, T = noisy_mix(rng, int(rng.integers(0, 5)), int(rng.integers(1, 6)))
+            got = match_residuals(_match_set(scan_i, scan_j, pairs), T)
+            want = reference_residuals(scan_i, scan_j, pairs, T)
+            assert np.max(np.abs(got[0] - want[0])) < 1e-12
+            assert np.max(np.abs(got[1] - want[1])) < 1e-12
+
+    def test_estimate_matches_per_object_matchset(self):
+        rng = np.random.default_rng(41)
+        for _ in range(50):
+            scan_i, scan_j, pairs, T = noisy_mix(rng, int(rng.integers(0, 4)), int(rng.integers(3, 6)))
+            got = estimate_transform(_match_set(scan_i, scan_j, pairs))
+            want = estimate_transform(reference_matchset(scan_i, scan_j, pairs))
+            assert np.max(np.abs(got.R - want.R)) < 1e-9
+            assert np.max(np.abs(got.t - want.t)) < 1e-9
+            assert rot_angle_rad(got.R, T.R) < 0.05
+
+    def test_associate_estimate_matches_per_object_matchset(self):
+        pair = loop_pair(3)
+        assoc = associate_scans(pair.scan_i, pair.scan_j)
+        want = estimate_transform(reference_matchset(pair.scan_i, pair.scan_j, assoc.matches))
+        assert np.max(np.abs(assoc.transform.R - want.R)) < 1e-9
+        assert np.max(np.abs(assoc.transform.t - want.t)) < 1e-9
+
+
+def loop_pair(s, **scene):
+    return make_loop_pair(
+        generate_scene(SceneConfig(seed=s, **scene)),
+        PairConfig(
+            baseline_m=8.0,
+            overlap=0.7,
+            clutter=5,
+            noise_dir_rad=np.radians(0.5),
+            noise_disp_m=0.05,
+            seed=1000 + s,
+        ),
+    )
+
+
+def moved_scan(scan, T):
+    return Scan(
+        scan.id,
+        tuple(el.transformed(T) for el in scan.objects),
+        None if scan.centroids is None else T.apply(scan.centroids),
+    )
+
+
+FIXED_MOTION = RigidTransform(rotation_about_axis([1.0, 2.0, 3.0], 0.7), np.array([5.0, -3.0, 2.0]))
+
+
+@pytest.mark.parametrize("seed", range(10))
+class TestPipelineProperties:
+    def test_permuting_scan_j_permutes_matches(self, seed):
+        pair = loop_pair(seed)
+        base = associate_scans(pair.scan_i, pair.scan_j)
+        perm = np.random.default_rng(seed).permutation(len(pair.scan_j))
+        new_index = np.argsort(perm)
+        scan_j = Scan(
+            pair.scan_j.id,
+            tuple(pair.scan_j.objects[p] for p in perm),
+            tuple(pair.scan_j.centroids[p] for p in perm),
+        )
+        permuted = associate_scans(pair.scan_i, scan_j)
+        assert permuted.matches == tuple(sorted((a, int(new_index[b])) for a, b in base.matches))
+        assert np.max(np.abs(permuted.transform.R - base.transform.R)) < 1e-9
+        assert np.max(np.abs(permuted.transform.t - base.transform.t)) < 1e-9
+
+    def test_moving_scan_j_composes_the_estimate(self, seed):
+        pair = loop_pair(seed)
+        base = associate_scans(pair.scan_i, pair.scan_j)
+        moved = associate_scans(pair.scan_i, moved_scan(pair.scan_j, FIXED_MOTION))
+        expected = FIXED_MOTION.compose(base.transform)
+        assert moved.matches == base.matches
+        assert np.max(np.abs(moved.transform.R - expected.R)) < 1e-9
+        assert np.max(np.abs(moved.transform.t - expected.t)) < 1e-9
+
+
+def run_match(tmp_path, scan_a, scan_b, *extra):
+    a, b, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "out.json"
+    save_scan(a, scan_a)
+    save_scan(b, scan_b)
+    code = main(["match", str(a), str(b), "--output", str(out), *extra])
+    return code, (json.loads(out.read_text()) if out.exists() else None)
+
+
+class TestEdgeInputs:
+    def test_empty_scan(self, tmp_path):
+        pair = loop_pair(0)
+        empty = Scan("empty", ())
+        for scan_a, scan_b in ((empty, pair.scan_j), (pair.scan_i, empty), (empty, empty)):
+            assoc = associate_scans(scan_a, scan_b)
+            assert assoc.n_candidates == 0 and assoc.transform is None
+            assert assoc.failure.startswith("only 0 correspondences")
+            code, doc = run_match(tmp_path, scan_a, scan_b)
+            assert code == 2 and doc["num_candidates"] == 0
+            assert doc["failure_reason"].startswith("only 0 correspondences")
+
+    def test_lines_only_against_planes_only(self, tmp_path):
+        lines = generate_scene(SceneConfig(n_lines=6, n_planes=0, seed=1))
+        planes = generate_scene(SceneConfig(n_lines=0, n_planes=6, seed=2))
+        assoc = associate_scans(lines, planes)
+        assert assoc.n_candidates == 0
+        assert assoc.failure.startswith("only 0 correspondences")
+        code, doc = run_match(tmp_path, lines, planes)
+        assert code == 2 and doc["num_candidates"] == 0
+
+    @pytest.mark.parametrize("n_lines, n_planes", [(0, 12), (12, 0)])
+    def test_single_kind_pairs_match(self, tmp_path, n_lines, n_planes):
+        pair = loop_pair(4, n_lines=n_lines, n_planes=n_planes)
+        assoc = associate_scans(pair.scan_i, pair.scan_j)
+        assert assoc.n_candidates == len(pair.scan_i) * len(pair.scan_j)
+        assert assoc.transform is not None and verify(assoc.transform, pair.truth)
+        code, doc = run_match(tmp_path, pair.scan_i, pair.scan_j)
+        assert code == 0 and doc["correspondences"] == [list(c) for c in assoc.matches]
+
+    @pytest.mark.parametrize("fn", [DistanceFn.EUCLIDEAN_CENTROID, DistanceFn.GR_TIMES_EUCLIDEAN])
+    def test_centroid_fns_need_centroids(self, tmp_path, capsys, fn):
+        pair = loop_pair(5)
+        bare_j = Scan(pair.scan_j.id, pair.scan_j.objects)
+        with pytest.raises(ValueError, match="centroid"):
+            associate_scans(pair.scan_i, bare_j, distance_fn=fn)
+        code, doc = run_match(tmp_path, pair.scan_i, bare_j, "--distance-fn", fn.value)
+        assert code == 1 and doc is None
+        assert "centroid" in capsys.readouterr().err

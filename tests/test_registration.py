@@ -20,8 +20,8 @@ from graffassoc import (
 )
 
 
-def random_matchset(rng, n_lines, n_planes, T, flip_signs=False):
-    """Noise-free matches under ground-truth transform T."""
+def random_pairs(rng, n_lines, n_planes, T, flip_signs=False):
+    """Noise-free (line pairs, plane pairs) under ground-truth transform T."""
     line_pairs = []
     for _ in range(n_lines):
         src = LinePD(rng.normal(size=3), rng.uniform(-10, 10, 3))
@@ -34,7 +34,11 @@ def random_matchset(rng, n_lines, n_planes, T, flip_signs=False):
         src = PlaneHesse(rng.normal(size=3), rng.uniform(-10, 10))
         tgt = transform_plane(src, T)
         plane_pairs.append((src, tgt))
-    return MatchSet(tuple(line_pairs), tuple(plane_pairs))
+    return line_pairs, plane_pairs
+
+
+def random_matchset(rng, n_lines, n_planes, T, flip_signs=False):
+    return MatchSet(*random_pairs(rng, n_lines, n_planes, T, flip_signs))
 
 
 from conftest import rot_angle_rad  # noqa: E402  (stable small-angle measure)
@@ -95,11 +99,8 @@ class TestEstimateTransform:
         # produce a proper rotation, never a reflection
         rng = np.random.default_rng(5)
         T = random_transform(rng, span=2.0)
-        matches = random_matchset(rng, 0, 4, T)
-        mirrored = MatchSet(
-            (),
-            tuple((src, PlaneHesse(-tgt.n, -tgt.d)) for src, tgt in matches.plane_pairs),
-        )
+        _, plane_pairs = random_pairs(rng, 0, 4, T)
+        mirrored = MatchSet((), tuple((src, PlaneHesse(-tgt.n, -tgt.d)) for src, tgt in plane_pairs))
         est = estimate_transform(mirrored)
         assert np.linalg.det(est.R) == pytest.approx(1.0, abs=1e-10)
 
@@ -129,11 +130,11 @@ class TestEstimateTransform:
         rng = np.random.default_rng(7)
         T1 = random_transform(rng, span=5.0)
         extra = random_transform(rng, span=5.0)
-        matches = random_matchset(rng, 2, 3, T1)
+        line_pairs, plane_pairs = random_pairs(rng, 2, 3, T1)
         # re-transform every target by `extra`: estimate should compose
         shifted = MatchSet(
-            tuple((s, transform_line(t, extra)) for s, t in matches.line_pairs),
-            tuple((s, transform_plane(t, extra)) for s, t in matches.plane_pairs),
+            tuple((s, transform_line(t, extra)) for s, t in line_pairs),
+            tuple((s, transform_plane(t, extra)) for s, t in plane_pairs),
         )
         est = estimate_transform(shifted)
         expected = extra.compose(T1)
@@ -148,34 +149,14 @@ class TestEstimateTransform:
             assert np.max(np.abs(est.R.T @ est.R - np.eye(3))) < 1e-10
             assert np.linalg.det(est.R) == pytest.approx(1.0, abs=1e-10)
 
-    def test_unit_weights_equal_default(self):
-        rng = np.random.default_rng(9)
-        T = random_transform(rng)
-        matches = random_matchset(rng, 2, 2, T)
-        est1 = estimate_transform(matches)
-        est2 = estimate_transform(matches, weights=np.ones(4))
-        assert np.allclose(est1.R, est2.R)
-        assert np.allclose(est1.t, est2.t)
-
-    def test_bad_weights_rejected(self):
-        rng = np.random.default_rng(10)
-        T = random_transform(rng)
-        matches = random_matchset(rng, 2, 2, T)
-        with pytest.raises(ValueError):
-            estimate_transform(matches, weights=np.ones(3))
-        with pytest.raises(ValueError):
-            estimate_transform(matches, weights=-np.ones(4))
-
     def test_independent_of_segmentation_metadata(self):
         # the estimator consumes infinite-geometry parameters only, so any
         # notion of patch extent or centroid cannot influence it
         rng = np.random.default_rng(11)
         T = random_transform(rng)
-        matches = random_matchset(rng, 2, 3, T)
-        est1 = estimate_transform(matches)
-        est2 = estimate_transform(
-            MatchSet(matches.line_pairs, matches.plane_pairs)
-        )
+        line_pairs, plane_pairs = random_pairs(rng, 2, 3, T)
+        est1 = estimate_transform(MatchSet(line_pairs, plane_pairs))
+        est2 = estimate_transform(MatchSet(line_pairs, plane_pairs))
         assert np.array_equal(est1.R, est2.R)
         assert np.array_equal(est1.t, est2.t)
 
