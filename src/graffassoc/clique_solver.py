@@ -4,8 +4,11 @@ Given a symmetric affinity matrix M with unit diagonal, select the binary
 indicator u maximizing the density u'Mu / u'u subject to the hard constraint
 that no two selected entries have M(i,j) = 0.  The continuous relaxation is
 solved on the nonnegative unit sphere with a geometrically growing penalty
-on constraint violations, then rounded greedily.  An exhaustive oracle is
-provided for small instances.
+on constraint violations, then rounded greedily.  Each ascent step works on
+the working set supp(u) | {gradient > 0}, so only those rows of the
+penalized matrix are formed, and the penalty loop stops as soon as a larger
+penalty can no longer change u.  An exhaustive oracle is provided for small
+instances.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ __all__ = [
 BRUTE_FORCE_LIMIT = 20
 
 _POWER_ITERATIONS = 100
+_VALIDATE_ROWS = 64  # validation temporaries stay _VALIDATE_ROWS x m, not m x m
 
 
 ROUNDING_RULES = ("greedy_density", "mass_capped")
@@ -77,9 +81,10 @@ def _validate_affinity(M: np.ndarray) -> np.ndarray:
         raise ValueError(f"affinity matrix must be square, got {M.shape}")
     if M.size == 0:
         return M
-    if not np.all(np.isfinite(M)):
+    starts = range(0, M.shape[0], _VALIDATE_ROWS)
+    if not all(np.isfinite(M[i : i + _VALIDATE_ROWS]).all() for i in starts):
         raise ValueError("affinity matrix must be finite")
-    if np.max(np.abs(M - M.T)) > 1e-9:
+    if any(np.abs(M[i : i + _VALIDATE_ROWS, i:] - M[i:, i : i + _VALIDATE_ROWS].T).max() > 1e-9 for i in starts):
         raise ValueError("affinity matrix must be symmetric")
     if M.min() < -1e-12 or M.max() > 1.0 + 1e-9:
         raise ValueError("affinity entries must lie in [0, 1]")
@@ -117,33 +122,58 @@ def _power_init(M: np.ndarray) -> np.ndarray:
     return u
 
 
-def _ascend(Md: np.ndarray, u: np.ndarray, params: SolverParams) -> np.ndarray:
-    """Projected gradient ascent of u'(Md)u on the nonnegative unit sphere."""
-    g = Md @ u
-    f = float(u @ g)
-    alpha = 1.0 / max(1.0, abs(f))
+def _penalized_rows(M: np.ndarray, edges: np.ndarray, penalty: float, W: np.ndarray):
+    """Rows Md[W, :] and block Md[W, W] of Md = (M on edges, -penalty off
+    them); all of Md, as one array, once |W| > m/2."""
+    if 2 * W.size > M.shape[0]:
+        Md = np.where(edges, M, -penalty)
+        return np.arange(M.shape[0]), Md, Md
+    rows = np.where(edges[W], M[W], -penalty)
+    return W, rows, rows[:, W]
+
+
+def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, params: SolverParams):
+    """Projected gradient ascent of u'(Md)u on the nonnegative unit sphere.
+
+    Trials max(u + s*g, 0) lie inside W = supp(u) | {g > 0}: they are scored on
+    a block Md[C, C], C a superset of W rebuilt when W leaves C or falls below
+    half of it, and the gradient needs only Md[C, :].  `g` is the last stage's
+    gradient at u, or None; a larger penalty only lowers it, so it bounds W.
+    """
+    m = u.shape[0]
+    C, rows, block = _penalized_rows(M, edges, penalty, np.flatnonzero((u > 0.0) | (g is None or g > 0.0)))
+    g = u[C] @ rows
+    f = None
+    moved = False
     for _ in range(params.max_iterations):
-        improved = False
+        W = np.flatnonzero((u > 0.0) | (g > 0.0))
+        if 2 * W.size < C.size or not (np.take(C, np.searchsorted(C, W), mode="clip") == W).all():
+            rows = block = None  # release the old cache before building the next
+            C, rows, block = _penalized_rows(M, edges, penalty, W)
+        uC, gC = u[C], g[C]
+        if f is None:  # scored like the trials, so a trial equal to u never wins
+            f = float(uC @ (uC @ block))
+            alpha = 1.0 / max(1.0, abs(f))
         step = alpha
         for _ in range(40):
-            v = np.maximum(u + step * g, 0.0)
+            v = np.maximum(uC + step * gC, 0.0)
             norm = float(np.linalg.norm(v))
             if norm > 0.0:
                 v /= norm
-                gv = Md @ v
+                gv = v @ block
                 fv = float(v @ gv)
                 if fv > f:
-                    improved = True
                     break
             step *= 0.5
-        if not improved:
+        else:
             break
-        delta = float(np.linalg.norm(v - u))
-        u, g, f = v, gv, fv
-        alpha = step * 2.0
-        if delta < params.tol:
+        moved = True
+        u = np.zeros(m)
+        u[C] = v
+        g, f, alpha = (gv if rows is block else v @ rows), fv, step * 2.0
+        if float(np.linalg.norm(v - uC)) < params.tol:
             break
-    return u
+    return u, g, moved
 
 
 def _round_greedy(u: np.ndarray, M: np.ndarray, edges: np.ndarray, cap: int | None) -> tuple[int, ...]:
@@ -223,6 +253,24 @@ def _local_improve(selected: tuple[int, ...], M: np.ndarray, edges: np.ndarray) 
     return tuple(sorted(S))
 
 
+def _round(u: np.ndarray, M: np.ndarray, edges: np.ndarray, rounding: str) -> tuple[int, ...]:
+    """Round the relaxed iterate to a feasible index set by the given rule."""
+    if rounding == "mass_capped":
+        return _round_greedy(u, M, edges, cap=max(1, int(round(float(u @ (M @ u))))))
+    # Multi-start: the greedy prefix of u plus best-first growth from the
+    # strongest seeds, each refined locally; densest result wins, ties
+    # broken by the lexicographically smallest index set.
+    order = np.lexsort((np.arange(u.shape[0]), -u))
+    proposals = [_local_improve(_round_greedy(u, M, edges, None), M, edges)]
+    proposals += [_local_improve(_best_first_from(v, M, edges), M, edges) for v in order[:16]]
+    best = None
+    for prop in proposals:
+        density = _binary_density(M, prop)
+        if best is None or density > best[0] + 1e-12 or (abs(density - best[0]) <= 1e-12 and prop < best[1]):
+            best = (density, prop)
+    return best[1]
+
+
 def solve_densest(M: np.ndarray, params: SolverParams = SolverParams()) -> Selection:
     """Approximately solve the densest-subset problem on an affinity matrix.
 
@@ -234,29 +282,19 @@ def solve_densest(M: np.ndarray, params: SolverParams = SolverParams()) -> Selec
     if m == 0:
         return Selection((), np.zeros(0), 0.0)
     edges = binarize_constraints(M)
-    violations = (~edges).astype(float)
     u = _power_init(M)
+    g = None
     penalty = params.initial_penalty
     while penalty <= m + 1.0:
-        u = _ascend(M - penalty * violations, u, params)
+        u, g, moved = _ascend(M, edges, penalty, u, g, params)
+        # Exact early exit: with no non-edge inside W = supp(u) | {g > 0}, g on W
+        # is penalty-free and off W only falls, so later stages would repeat
+        # this stage's rejected trials and return u unchanged.
+        W = np.flatnonzero((u > 0.0) | (g > 0.0))
+        if not moved and edges[np.ix_(W, W)].all():
+            break
         penalty *= params.penalty_growth
-    if params.rounding == "mass_capped":
-        indices = _round_greedy(u, M, edges, cap=max(1, int(round(float(u @ (M @ u))))))
-    else:
-        # Multi-start: the greedy prefix of u plus best-first growth from the
-        # strongest seeds, each refined locally; densest result wins, ties
-        # broken by the lexicographically smallest index set.
-        order = np.lexsort((np.arange(m), -u))
-        proposals = [_local_improve(_round_greedy(u, M, edges, None), M, edges)]
-        proposals += [
-            _local_improve(_best_first_from(v, M, edges), M, edges) for v in order[: min(m, 16)]
-        ]
-        best = None
-        for prop in proposals:
-            density = _binary_density(M, prop)
-            if best is None or density > best[0] + 1e-12 or (abs(density - best[0]) <= 1e-12 and prop < best[1]):
-                best = (density, prop)
-        indices = best[1]
+    indices = _round(u, M, edges, params.rounding)
     return Selection(indices, u, _binary_density(M, indices))
 
 

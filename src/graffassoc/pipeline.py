@@ -77,7 +77,8 @@ def match_residuals(matches: MatchSet, transform: RigidTransform):
     """
     rep = matches.src_rep @ transform.R.T
     dot = np.einsum("na,na->n", rep, matches.tgt_rep)
-    angles = np.arccos(np.clip(np.abs(dot), 0.0, 1.0))
+    # arctan2 stays accurate near 0, where arccos(|dot|) floors at ~1.5e-8 rad.
+    angles = np.arctan2(np.linalg.norm(np.cross(rep, matches.tgt_rep), axis=1), np.abs(dot))
     # Line offsets: foot point of the moved line, measured across the target.
     p = matches.src_b0 @ transform.R.T + transform.t
     p -= rep * np.einsum("na,na->n", rep, p)[:, None]

@@ -2,12 +2,21 @@ import numpy as np
 import pytest
 
 from graffassoc import (
+    ConsistencyParams,
+    DistanceFn,
+    PairConfig,
+    SceneConfig,
     Selection,
     SolverParams,
     binarize_constraints,
     brute_force_densest,
+    build_affinity,
+    generate_scene,
+    make_loop_pair,
     solve_densest,
 )
+from graffassoc import clique_solver
+from graffassoc.clique_solver import ROUNDING_RULES, _binary_density, _power_init, _round
 
 
 def planted_matrix(rng, m, block, background=0.3, edge_prob=0.5):
@@ -105,6 +114,39 @@ class TestBruteForce:
             brute_force_densest(np.array([[1.0, 2.0], [2.0, 1.0]]))  # entries > 1
         with pytest.raises(ValueError):
             brute_force_densest(np.array([[1.0, 0.5], [0.4, 1.0]]))  # asymmetric
+
+
+class TestValidateAffinity:
+    """Checks run over row blocks; m = 150 spans several of them."""
+
+    @staticmethod
+    def valid(m=150):
+        return random_gated_matrix(np.random.default_rng(13), m)
+
+    @pytest.mark.parametrize("i, j", [(0, 1), (140, 3), (70, 149)])
+    def test_asymmetry_anywhere(self, i, j):
+        M = self.valid()
+        M[i, j] = 0.5 * M[i, j] + 0.25
+        with pytest.raises(ValueError, match="^affinity matrix must be symmetric$"):
+            solve_densest(M)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_reported_before_asymmetry(self, bad):
+        M = self.valid()
+        M[0, 1] = 0.5 * M[0, 1] + 0.25
+        M[145, 120] = bad
+        with pytest.raises(ValueError, match="^affinity matrix must be finite$"):
+            solve_densest(M)
+
+    def test_range_and_diagonal(self):
+        M = self.valid()
+        M[130, 7] = M[7, 130] = 1.5
+        with pytest.raises(ValueError, match=r"^affinity entries must lie in \[0, 1\]$"):
+            solve_densest(M)
+        M = self.valid()
+        M[149, 149] = 0.5
+        with pytest.raises(ValueError, match="^affinity diagonal must be all ones$"):
+            solve_densest(M)
 
 
 class TestSolveDensest:
@@ -213,3 +255,130 @@ class TestSolveDensest:
         sel = solve_densest(np.eye(3))
         assert isinstance(sel, Selection)
         assert sel.u.shape == (3,)
+
+
+# Reference relaxation: every stage ascends on the full penalized matrix
+# M - penalty * violations, up to penalty m + 1.  `early_exit` adds the
+# solver's exit rule on top of the same dense step.
+def dense_ascend(Md, u, params):
+    g = Md @ u
+    f = float(u @ g)
+    alpha = 1.0 / max(1.0, abs(f))
+    moved = False
+    for _ in range(params.max_iterations):
+        improved = False
+        step = alpha
+        for _ in range(40):
+            v = np.maximum(u + step * g, 0.0)
+            norm = float(np.linalg.norm(v))
+            if norm > 0.0:
+                v /= norm
+                gv = Md @ v
+                fv = float(v @ gv)
+                if fv > f:
+                    improved = True
+                    break
+            step *= 0.5
+        if not improved:
+            break
+        moved = True
+        delta = float(np.linalg.norm(v - u))
+        u, g, f = v, gv, fv
+        alpha = step * 2.0
+        if delta < params.tol:
+            break
+    return u, g, moved
+
+
+def dense_relaxation(M, params=SolverParams(), early_exit=False):
+    m = M.shape[0]
+    edges = binarize_constraints(M)
+    violations = (~edges).astype(float)
+    u = _power_init(M)
+    penalty = params.initial_penalty
+    stages = 0
+    while penalty <= m + 1.0:
+        u, g, moved = dense_ascend(M - penalty * violations, u, params)
+        stages += 1
+        W = (u > 0.0) | (g > 0.0)
+        if early_exit and not moved and edges[np.ix_(W, W)].all():
+            break
+        penalty *= params.penalty_growth
+    return u, stages
+
+
+def reference_solve(M, params):
+    u, _ = dense_relaxation(M, params)
+    indices = _round(u, M, binarize_constraints(M), params.rounding)
+    return Selection(indices, u, _binary_density(M, indices))
+
+
+def parity_instances():
+    """Random weighted, planted-block and scan-pair affinities (m = 16..200)."""
+    for seed in range(12):
+        rng = np.random.default_rng(200 + seed)
+        yield f"random-{seed}", random_gated_matrix(rng, int(rng.integers(12, 120)))
+    for seed in range(12):
+        rng = np.random.default_rng(300 + seed)
+        m = int(rng.integers(15, 80))
+        block = sorted(int(v) for v in rng.choice(m, int(rng.integers(4, 9)), replace=False))
+        yield f"planted-{seed}", planted_matrix(rng, m, block)
+    for seed in range(4):
+        scene = generate_scene(SceneConfig(n_lines=4, n_planes=10, seed=400 + seed))
+        pair = make_loop_pair(scene, PairConfig(overlap=0.8, clutter=3 + 3 * seed, seed=500 + seed))
+        for fn in DistanceFn:
+            M, _ = build_affinity(pair.scan_i, pair.scan_j, ConsistencyParams(), fn)
+            yield f"scan-{seed}-{fn.value}", M
+
+
+# The ascent stops once a step moves u by less than tol = 1e-8, so sums taken
+# over the working set instead of all m entries can end one step apart.
+U_TOLERANCE = 1e-7
+
+
+class TestWorkingSetParity:
+    @pytest.fixture(scope="class")
+    def instances(self):
+        return list(parity_instances())
+
+    @pytest.mark.parametrize("rounding", ROUNDING_RULES)
+    def test_matches_dense_relaxation(self, instances, rounding):
+        params = SolverParams(rounding=rounding)
+        for name, M in instances:
+            sel = solve_densest(M, params)
+            ref = reference_solve(M, params)
+            assert sel.indices == ref.indices, name
+            assert sel.objective == ref.objective, name
+            assert np.max(np.abs(sel.u - ref.u)) <= U_TOLERANCE, name
+
+    def test_solver_stops_at_a_fixed_point(self, instances, monkeypatch):
+        # Every stage the solver skips would return its final u unchanged.
+        params = SolverParams()
+        stages = []
+        ascend = clique_solver._ascend
+
+        def recording(M, edges, penalty, u, g, params):
+            stages.append((penalty, *ascend(M, edges, penalty, u, g, params)))
+            return stages[-1][1:]
+
+        monkeypatch.setattr(clique_solver, "_ascend", recording)
+        skipped = 0
+        for name, M in instances:
+            stages.clear()
+            solve_densest(M, params)
+            penalty, u, g, _ = stages[-1]
+            edges = binarize_constraints(M)
+            while (penalty := penalty * params.penalty_growth) <= M.shape[0] + 1.0:
+                u_next, g, moved = ascend(M, edges, penalty, u, g, params)
+                assert not moved and np.array_equal(u_next, u), name
+                skipped += 1
+        assert skipped >= len(instances)
+
+    def test_early_exit_is_exact(self, instances):
+        exited = 0
+        for name, M in instances:
+            full, full_stages = dense_relaxation(M)
+            early, early_stages = dense_relaxation(M, early_exit=True)
+            assert np.array_equal(early, full), name
+            exited += early_stages < full_stages
+        assert exited >= len(instances) // 2

@@ -105,6 +105,28 @@ class TestArrayPathOracles:
             assert np.max(np.abs(got.t - want.t)) < 1e-9
             assert rot_angle_rad(got.R, T.R) < 0.05
 
+    def test_residual_angle_agrees_with_arccos_on_noisy_pairs(self):
+        for s in range(5):
+            pair = loop_pair(s)
+            assoc = associate_scans(pair.scan_i, pair.scan_j)
+            matches = _match_set(pair.scan_i, pair.scan_j, assoc.matches)
+            angles, _ = match_residuals(matches, assoc.transform)
+            dot = np.einsum("na,na->n", matches.src_rep @ assoc.transform.R.T, matches.tgt_rep)
+            assert np.max(np.abs(angles - np.arccos(np.clip(np.abs(dot), 0.0, 1.0)))) < 1e-12
+
+    def test_residual_angle_has_no_arccos_floor(self, tmp_path):
+        # The noise-free criterion 8 pair: every true residual angle is at
+        # rounding level, which arccos(|dot|) reports as up to 3.3e-8 rad.
+        pair = make_loop_pair(generate_scene(SceneConfig(seed=21)), PairConfig(overlap=0.9, clutter=3, seed=22))
+        assoc = associate_scans(pair.scan_i, pair.scan_j)
+        assert assoc.transform is not None
+        assert assoc.max_angle_residual_rad < 1e-12
+        a, b, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "m.json"
+        save_scan(a, pair.scan_i)
+        save_scan(b, pair.scan_j)
+        assert main(["match", str(a), str(b), "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["residuals"]["max_direction_angle_rad"] < 1e-12
+
     def test_associate_estimate_matches_per_object_matchset(self):
         pair = loop_pair(3)
         assoc = associate_scans(pair.scan_i, pair.scan_j)
