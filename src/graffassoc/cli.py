@@ -144,7 +144,7 @@ def _cmd_distance(args) -> int:
         for name, idx in (("index_a", args.index_a), ("index_b", args.index_b)):
             if not 0 <= idx < n:
                 raise ValueError(f"{name}={idx} out of range for scan with {n} objects")
-        if args.rho <= 0:
+        if not args.rho > 0:
             raise ValueError("rho must be positive")
     except (ScanFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -54,13 +54,13 @@ class SolverParams:
     rounding: str = "greedy_density"
 
     def __post_init__(self):
-        if self.max_iterations <= 0:
+        if not self.max_iterations > 0:  # negated, so NaN is rejected too
             raise ValueError("max_iterations must be positive")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.penalty_growth <= 1.0:
+        if not self.penalty_growth > 1.0:
             raise ValueError("penalty_growth must exceed 1")
-        if self.initial_penalty <= 0:
+        if not self.initial_penalty > 0:
             raise ValueError("initial_penalty must be positive")
         if self.rounding not in ROUNDING_RULES:
             raise ValueError(f"unknown rounding rule {self.rounding!r}")

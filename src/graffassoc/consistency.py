@@ -4,7 +4,9 @@ Vertices of the graph are candidate matches (object a in scan i, object b in
 scan j, same dimension).  Two candidates are consistent when the invariant
 distance between their objects inside scan i agrees with the distance between
 the matched objects inside scan j; agreement is gated at epsilon and scored
-with a Gaussian kernel of width sigma.
+with a Gaussian kernel of width sigma.  Every distance function builds its
+m x m affinity through one blockwise kernel, `_blockwise_affinity`, which
+holds no m x m temporary besides the affinity itself.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .graff_core import _SPAN_RANK_TOL, GraffElement, shifted_graff_distance
+
+_AFFINITY_ROWS = 64  # affinity temporaries stay _AFFINITY_ROWS x m, not m x m
 
 __all__ = [
     "Scan",
@@ -114,7 +118,7 @@ class ConsistencyParams:
     rho: float = 40.0     # displacement scaling, meters
 
     def __post_init__(self):
-        if self.epsilon <= 0 or self.sigma <= 0 or self.rho <= 0:
+        if not (self.epsilon > 0 and self.sigma > 0 and self.rho > 0):  # NaN fails too
             raise ValueError("epsilon, sigma and rho must all be positive")
 
 
@@ -189,7 +193,7 @@ def internal_distance_matrix(scan: Scan, rho: float) -> np.ndarray:
     This is the cache that turns the O(m^2) affinity construction into
     O(n^2) distance evaluations.
     """
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     gap = np.zeros((len(scan), len(scan)))
     for (idx_x, Ax), (idx_y, Ay) in product(scan.groups, repeat=2):
@@ -234,16 +238,41 @@ def _centroid_distance_matrix(scan: Scan) -> np.ndarray:
     return np.sqrt(np.sum(diff * diff, axis=2))
 
 
-def _candidate_grid(D_i: np.ndarray, D_j: np.ndarray, a_idx: np.ndarray, b_idx: np.ndarray) -> np.ndarray:
-    """Consistency scores for every candidate pair.
+def _blockwise_affinity(terms, a_idx: np.ndarray, b_idx: np.ndarray, epsilon: float) -> np.ndarray:
+    """Gated Gaussian affinity over candidates (a_idx[p], b_idx[p]), built in
+    row blocks of the upper triangle, each mirrored into the lower one.
 
-    The internal distances are symmetric; the elementwise max merely pins
-    floating-point symmetry so the affinity matrix is exactly symmetric.
+    Term (D_i, D_j, denom) gives pair (p, q) the score C = max(|D_i[a_p, a_q]
+    - D_j[b_p, b_q]|, |D_i[a_q, a_p] - D_j[b_q, b_p]|), symmetric even where D
+    is not bitwise so, and the factor exp(-(C * C) / denom); C >= epsilon in
+    any term gates the pair to 0.  Flooring the exponent at -(epsilon *
+    epsilon) / denom moves no ungated entry (rounding is monotone) and keeps
+    gated ones off exp's slow underflow path.
     """
-    Ci = D_i[np.ix_(a_idx, a_idx)]
-    Cj = D_j[np.ix_(b_idx, b_idx)]
-    C = np.abs(Ci - Cj)
-    return np.maximum(C, C.T)
+    m = len(a_idx)
+    M = np.empty((m, m))
+    for r0 in range(0, m, _AFFINITY_ROWS):
+        r1 = min(r0 + _AFFINITY_ROWS, m)
+        a_r, b_r, a_c, b_c = a_idx[r0:r1], b_idx[r0:r1], a_idx[r0:], b_idx[r0:]
+        block = M[r0:r1, r0:]
+        keep = np.ones(block.shape, dtype=bool)
+        for t, (D_i, D_j, denom) in enumerate(terms):
+            C = D_i[a_r][:, a_c] - D_j[b_r][:, b_c]
+            C_t = D_i.T[a_r][:, a_c] - D_j.T[b_r][:, b_c]
+            np.maximum(np.abs(C, out=C), np.abs(C_t, out=C_t), out=C)
+            keep &= C < epsilon
+            np.multiply(C, C, out=C)
+            np.negative(C, out=C)
+            np.divide(C, denom, out=C)
+            np.maximum(C, -(epsilon * epsilon) / denom, out=C)
+            if t == 0:
+                np.exp(C, out=block)
+            else:
+                block *= np.exp(C, out=C)
+        block *= keep  # gated entries become +0.0: every factor is finite and >= 0
+        M[r1:, r0:r1] = M[r0:r1, r1:].T
+    np.fill_diagonal(M, 1.0)
+    return M
 
 
 def build_affinity(
@@ -268,35 +297,18 @@ def build_affinity(
         return np.zeros((0, 0)), candidates
     a_idx, b_idx = np.array(candidates).T
 
+    distances = {
+        DistanceFn.GRAFF_SHIFTED: lambda scan: internal_distance_matrix(scan, params.rho),
+        DistanceFn.GR_ONLY: _gr_distance_matrix,
+        DistanceFn.NORMAL_DOT_DIRECTION: _rep_vector_angle_matrix,
+        DistanceFn.EUCLIDEAN_CENTROID: lambda scan: _centroid_distance_matrix(scan) / params.rho,
+    }
     if distance_fn is DistanceFn.GR_TIMES_EUCLIDEAN:
-        # Product of an angular and a radial kernel, each with its own gate;
+        # Product of a radial and an angular kernel, each with its own gate;
         # the radial scale is expressed in radians via the rho scaling.
-        C_th = _candidate_grid(_gr_distance_matrix(scan_i), _gr_distance_matrix(scan_j), a_idx, b_idx)
-        C_r = _candidate_grid(
-            _centroid_distance_matrix(scan_i) / params.rho,
-            _centroid_distance_matrix(scan_j) / params.rho,
-            a_idx,
-            b_idx,
-        )
         s2 = params.sigma * params.sigma
-        M = np.exp(-(C_r * C_r) / s2) * np.exp(-(C_th * C_th) / s2)
-        M[(C_th >= params.epsilon) | (C_r >= params.epsilon)] = 0.0
+        kernels = [(distances[DistanceFn.EUCLIDEAN_CENTROID], s2), (distances[DistanceFn.GR_ONLY], s2)]
     else:
-        if distance_fn is DistanceFn.GRAFF_SHIFTED:
-            D_i = internal_distance_matrix(scan_i, params.rho)
-            D_j = internal_distance_matrix(scan_j, params.rho)
-        elif distance_fn is DistanceFn.GR_ONLY:
-            D_i = _gr_distance_matrix(scan_i)
-            D_j = _gr_distance_matrix(scan_j)
-        elif distance_fn is DistanceFn.NORMAL_DOT_DIRECTION:
-            D_i = _rep_vector_angle_matrix(scan_i)
-            D_j = _rep_vector_angle_matrix(scan_j)
-        else:
-            D_i = _centroid_distance_matrix(scan_i) / params.rho
-            D_j = _centroid_distance_matrix(scan_j) / params.rho
-        C = _candidate_grid(D_i, D_j, a_idx, b_idx)
-        M = np.exp(-(C * C) / (2.0 * params.sigma * params.sigma))
-        M[C >= params.epsilon] = 0.0
-
-    np.fill_diagonal(M, 1.0)
-    return M, candidates
+        kernels = [(distances[distance_fn], 2.0 * params.sigma * params.sigma)]
+    terms = [(D(scan_i), D(scan_j), denom) for D, denom in kernels]
+    return _blockwise_affinity(terms, a_idx, b_idx, params.epsilon), candidates

@@ -217,7 +217,7 @@ def stiefel_coordinates(el: GraffElement, rho: float) -> np.ndarray:
     The displacement is scaled by 1/rho before embedding, which controls
     how strongly Euclidean separation registers in the principal angles.
     """
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     s = el.b0 / rho
     eta = np.sqrt(1.0 + float(s @ s))
@@ -284,7 +284,7 @@ def shifted_principal_angles(el1: GraffElement, el2: GraffElement, rho: float) -
     block-diagonalize: the angles are those between the direction subspaces
     plus one extra angle atan(gap / rho) carrying the Euclidean separation.
     """
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     sigma = np.linalg.svd(el1.A.T @ el2.A, compute_uv=False)
     th_dir = np.arccos(np.clip(sigma, 0.0, 1.0))

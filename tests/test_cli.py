@@ -255,6 +255,14 @@ class TestMatchCommand:
         assert code in (0, 2)
         assert json.loads(out.read_text())["params"]["distance_fn"] == "gr_only"
 
+    @pytest.mark.parametrize("flag", ["--epsilon", "--sigma", "--rho"])
+    def test_nan_parameter_exit_one(self, loop_fixture, tmp_path, capsys, flag):
+        _, a, b = loop_fixture
+        out = tmp_path / "m.json"
+        assert main(["match", str(a), str(b), flag, "nan", "--output", str(out)]) == 1
+        assert flag[2:] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_exit_one(self, tmp_path, capsys):
         good = tmp_path / "g.json"
         save_scan(good, generate_scene(SceneConfig(n_lines=2, n_planes=2, seed=1)))
@@ -298,6 +306,12 @@ class TestDistanceCommand:
         save_scan(path, generate_scene(SceneConfig(n_lines=1, n_planes=1, seed=3)))
         assert main(["distance", str(path), "0", "5"]) == 1
         assert capsys.readouterr().err
+
+    def test_nan_rho_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        save_scan(path, generate_scene(SceneConfig(n_lines=1, n_planes=1, seed=3)))
+        assert main(["distance", str(path), "0", "1", "--rho", "nan"]) == 1
+        assert "rho must be positive" in capsys.readouterr().err
 
 
 class TestBenchCommand:

@@ -251,6 +251,19 @@ class TestSolveDensest:
         with pytest.raises(ValueError):
             SolverParams(rounding="magic")
 
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("max_iterations", "max_iterations must be positive"),
+            ("tol", "tol must be positive"),
+            ("penalty_growth", "penalty_growth must exceed 1"),
+            ("initial_penalty", "initial_penalty must be positive"),
+        ],
+    )
+    def test_nan_params_rejected(self, name, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SolverParams(**{name: float("nan")})
+
     def test_selection_type(self):
         sel = solve_densest(np.eye(3))
         assert isinstance(sel, Selection)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,9 @@ from graffassoc import (
     shifted_graff_distance,
     weight,
 )
+from graffassoc import consistency
 from graffassoc.consistency import (
+    _blockwise_affinity,
     _centroid_distance_matrix,
     _gr_distance_matrix,
     _rep_vector_angle_matrix,
@@ -91,6 +95,16 @@ class TestWeight:
             ConsistencyParams(sigma=-1.0)
         with pytest.raises(ValueError):
             ConsistencyParams(rho=0.0)
+
+    @pytest.mark.parametrize("name", ["epsilon", "sigma", "rho"])
+    def test_nan_params_rejected(self, name):
+        with pytest.raises(ValueError, match="^epsilon, sigma and rho must all be positive$"):
+            ConsistencyParams(**{name: float("nan")})
+
+    def test_infinite_gate_and_scale_accepted(self):
+        # an infinite epsilon means no gate, an infinite rho no displacement term
+        params = ConsistencyParams(epsilon=np.inf, rho=np.inf)
+        assert weight(10.0, params) == np.exp(-(10.0 * 10.0) / (2.0 * params.sigma * params.sigma))
 
 
 class TestConsistencyScore:
@@ -185,6 +199,11 @@ class TestInternalDistanceMatrix:
 
     def test_empty_scan(self):
         assert internal_distance_matrix(Scan("e", ()), 1.0).shape == (0, 0)
+
+    def test_nan_rho_rejected(self):
+        scan = make_scan(np.random.default_rng(30), 1, 1)
+        with pytest.raises(ValueError, match="rho must be positive"):
+            internal_distance_matrix(scan, float("nan"))
 
 
 class TestBuildAffinity:
@@ -316,6 +335,157 @@ class TestBuildAffinity:
         for fn in (DistanceFn.EUCLIDEAN_CENTROID, DistanceFn.GR_TIMES_EUCLIDEAN):
             with pytest.raises(ValueError):
                 build_affinity(scan_i, scan_j, ConsistencyParams(), fn)
+
+
+def _reference_affinity(scan_i, scan_j, params, distance_fn):
+    """The builder before the blockwise kernel: whole m x m score grids, exp
+    over every entry, then the gate as a mask.  Kept as the bitwise oracle."""
+
+    def grid(D_i, D_j):
+        C = np.abs(D_i[np.ix_(a_idx, a_idx)] - D_j[np.ix_(b_idx, b_idx)])
+        return np.maximum(C, C.T)
+
+    cands = generate_candidates(scan_i, scan_j)
+    if not cands:
+        return np.zeros((0, 0))
+    a_idx, b_idx = np.array(cands).T
+    if distance_fn is DistanceFn.GR_TIMES_EUCLIDEAN:
+        C_th = grid(_gr_distance_matrix(scan_i), _gr_distance_matrix(scan_j))
+        C_r = grid(_centroid_distance_matrix(scan_i) / params.rho, _centroid_distance_matrix(scan_j) / params.rho)
+        s2 = params.sigma * params.sigma
+        M = np.exp(-(C_r * C_r) / s2) * np.exp(-(C_th * C_th) / s2)
+        M[(C_th >= params.epsilon) | (C_r >= params.epsilon)] = 0.0
+    else:
+        distances = {
+            DistanceFn.GRAFF_SHIFTED: lambda scan: internal_distance_matrix(scan, params.rho),
+            DistanceFn.GR_ONLY: _gr_distance_matrix,
+            DistanceFn.NORMAL_DOT_DIRECTION: _rep_vector_angle_matrix,
+            DistanceFn.EUCLIDEAN_CENTROID: lambda scan: _centroid_distance_matrix(scan) / params.rho,
+        }[distance_fn]
+        C = grid(distances(scan_i), distances(scan_j))
+        M = np.exp(-(C * C) / (2.0 * params.sigma * params.sigma))
+        M[C >= params.epsilon] = 0.0
+    np.fill_diagonal(M, 1.0)
+    return M
+
+
+def _noisy_copy(rng, scan):
+    """scan moved by a rigid transform, with perturbed offsets and centroids,
+    so that both gated and ungated candidate pairs occur."""
+    T = random_transform(rng)
+    objects = tuple(el.translated(rng.normal(scale=0.05, size=3)).transformed(T) for el in scan.objects)
+    cents = tuple(T.apply(c + rng.normal(scale=0.1, size=3)) for c in scan.centroids)
+    return Scan("j", objects, cents)
+
+
+def _blocked_pair(seed, n_lines, n_planes):
+    rng = np.random.default_rng(seed)
+    scan_i = make_scan(rng, n_lines, n_planes, centroids=True)
+    return scan_i, _noisy_copy(rng, scan_i)
+
+
+class TestBlockwiseAffinity:
+    # (lines, planes) per scan and the row-block size; m = lines^2 + planes^2
+    CASES = {
+        "m0": (0, 0, None),
+        "m1": (1, 0, None),
+        "below_one_block": (3, 5, 35),         # m = 34
+        "one_block": (3, 5, 34),
+        "two_blocks": (3, 5, 17),
+        "one_past_a_block": (3, 5, 33),
+        "default_rows_exact": (0, 8, None),    # m = 64
+        "default_rows_plus_one": (1, 8, None),  # m = 65
+        "default_rows_two": (8, 8, None),      # m = 128
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("fn", list(DistanceFn))
+    def test_bitwise_equal_to_reference(self, monkeypatch, case, fn):
+        n_lines, n_planes, rows = self.CASES[case]
+        if rows is not None:
+            monkeypatch.setattr(consistency, "_AFFINITY_ROWS", rows)
+        scan_i, scan_j = _blocked_pair(40, n_lines, n_planes)
+        params = ConsistencyParams()
+        M, cands = build_affinity(scan_i, scan_j, params, fn)
+        m = n_lines**2 + n_planes**2
+        assert len(cands) == m
+        if case.startswith("default_rows"):
+            rows = consistency._AFFINITY_ROWS
+            assert m in (rows, rows + 1, 2 * rows)
+        ref = _reference_affinity(scan_i, scan_j, params, fn)
+        assert M.shape == ref.shape
+        assert np.array_equal(M.view(np.uint64), ref.view(np.uint64))
+        assert np.array_equal(M, M.T)
+        assert np.all(np.diag(M) == 1.0)
+        if m > 1:
+            assert 0.0 < np.mean(M == 0.0) < 1.0  # both gated and ungated pairs
+
+    @pytest.mark.parametrize("fn", list(DistanceFn))
+    def test_bitwise_equal_on_a_scene_pair(self, fn):
+        from graffassoc import PairConfig, SceneConfig, generate_scene, make_loop_pair
+
+        scene = generate_scene(SceneConfig(seed=21))
+        pair = make_loop_pair(scene, PairConfig(overlap=0.9, clutter=3, seed=22))
+        for params in (ConsistencyParams(), ConsistencyParams(epsilon=np.inf, rho=np.inf)):
+            M, cands = build_affinity(pair.scan_i, pair.scan_j, params, fn)
+            assert 400 <= len(cands) <= 600 and len(cands) % consistency._AFFINITY_ROWS != 0
+            ref = _reference_affinity(pair.scan_i, pair.scan_j, params, fn)
+            assert np.array_equal(M.view(np.uint64), ref.view(np.uint64))
+            assert np.array_equal(M, M.T)
+            assert np.all(np.diag(M) == 1.0)
+            if params.epsilon == 0.2:
+                assert 0.0 < np.mean(M == 0.0) < 1.0  # both gated and ungated pairs
+
+    @pytest.mark.parametrize(
+        "epsilon, sigma",
+        [(0.2, 0.02), (1.0, 0.01), (np.inf, 0.02)],
+        ids=["defaults", "wide_gate", "no_gate"],
+    )
+    @pytest.mark.parametrize("form", ["one_term", "two_term_first", "two_term_second"])
+    @np.errstate(over="ignore")  # one ulp below an infinite gate, C * C overflows to inf
+    def test_gate_boundary(self, epsilon, sigma, form):
+        # C one ulp below epsilon keeps exp(-(C * C) / denom) bit for bit;
+        # C at or above epsilon is gated to exactly 0.
+        below = np.nextafter(epsilon, 0.0)
+        values = [below, epsilon] + ([np.nextafter(epsilon, np.inf)] if np.isfinite(epsilon) else [])
+        n = len(values) + 1
+        D_i = np.zeros((n, n))
+        D_i[0, 1:] = D_i[1:, 0] = values
+        idx = np.arange(n)
+        other = epsilon / 3 if np.isfinite(epsilon) else 0.1
+        D_other = np.full((n, n), other)
+        np.fill_diagonal(D_other, 0.0)
+        zeros = np.zeros((n, n))
+        if form == "one_term":
+            denom = 2.0 * sigma * sigma
+            M = _blockwise_affinity([(D_i, zeros, denom)], idx, idx, epsilon)
+            other_factor = 1.0
+        else:
+            denom = sigma * sigma
+            terms = [(D_i, zeros, denom), (D_other, zeros, denom)]
+            M = _blockwise_affinity(terms if form == "two_term_first" else terms[::-1], idx, idx, epsilon)
+            other_factor = np.exp(np.array([-(other * other) / denom]))[0]
+        factor = np.exp(np.array([-(below * below) / denom]))[0]
+        expected = factor * other_factor if form == "two_term_first" else other_factor * factor
+        assert M[0, 1].view(np.uint64) == np.float64(expected).view(np.uint64)
+        assert np.all(M[0, 2:] == 0.0) and np.all(M[2:, 0] == 0.0)
+        assert M[0, 1] == M[1, 0]
+
+    @pytest.mark.parametrize("fn", [DistanceFn.GRAFF_SHIFTED, DistanceFn.GR_TIMES_EUCLIDEAN])
+    def test_peak_memory_near_one_matrix(self, fn):
+        # 10 x 10 lines + 30 x 30 planes: m = 1000; the bound is 1.5 m^2 doubles
+        rng = np.random.default_rng(50)
+        scan_i = make_scan(rng, 10, 30, centroids=True)
+        scan_j = make_scan(rng, 10, 30, centroids=True)
+        tracemalloc.start()
+        try:
+            M, cands = build_affinity(scan_i, scan_j, ConsistencyParams(), fn)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        m = len(cands)
+        assert m == 1000
+        assert peak <= 1.5 * 8 * m * m
 
 
 class TestUniqueMatches:

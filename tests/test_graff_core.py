@@ -89,6 +89,12 @@ class TestStiefelCoordinates:
         with pytest.raises(ValueError):
             stiefel_coordinates(z_line([0, 0, 0]), -3.0)
 
+    def test_rejects_nan_rho(self):
+        with pytest.raises(ValueError, match="rho must be positive"):
+            stiefel_coordinates(z_line([0, 0, 0]), float("nan"))
+        with pytest.raises(ValueError, match="rho must be positive"):
+            shifted_principal_angles(z_line([0, 0, 0]), z_line([1, 0, 0]), float("nan"))
+
 
 class TestPrincipalAngles:
     def test_identical_frames(self):
