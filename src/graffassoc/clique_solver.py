@@ -6,9 +6,10 @@ that no two selected entries have M(i,j) = 0.  The continuous relaxation is
 solved on the nonnegative unit sphere with a geometrically growing penalty
 on constraint violations, then rounded greedily.  Each ascent step works on
 the working set supp(u) | {gradient > 0}, so only those rows of the
-penalized matrix are formed, and the penalty loop stops as soon as a larger
-penalty can no longer change u.  An exhaustive oracle is provided for small
-instances.
+penalized matrix are formed (and applied off the set only when a Lipschitz
+bound stops certifying the gradient there <= 0), and the penalty loop stops
+as soon as a larger penalty can no longer change u.  An exhaustive oracle is
+provided for small instances.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ __all__ = [
 
 BRUTE_FORCE_LIMIT = 20
 
-_POWER_ITERATIONS = 100
+_POWER_ITERATIONS = 100  # cap; the power init stops once a step moves u by less than tol
 _VALIDATE_ROWS = 64  # validation temporaries stay _VALIDATE_ROWS x m, not m x m
 
 
@@ -110,7 +111,7 @@ def _binary_density(M: np.ndarray, indices) -> float:
     return float(sub.sum() / len(idx))
 
 
-def _power_init(M: np.ndarray) -> np.ndarray:
+def _power_init(M: np.ndarray, tol: float) -> np.ndarray:
     m = M.shape[0]
     u = np.full(m, 1.0 / np.sqrt(m))
     for _ in range(_POWER_ITERATIONS):
@@ -118,18 +119,26 @@ def _power_init(M: np.ndarray) -> np.ndarray:
         norm = float(np.linalg.norm(v))
         if norm == 0.0:
             break
-        u = v / norm
+        v /= norm
+        if float(np.linalg.norm(v - u)) < tol:
+            return v
+        u = v
     return u
 
 
 def _penalized_rows(M: np.ndarray, edges: np.ndarray, penalty: float, W: np.ndarray):
-    """Rows Md[W, :] and block Md[W, W] of Md = (M on edges, -penalty off
-    them); all of Md, as one array, once |W| > m/2."""
+    """Rows Md[W, :], block Md[W, W] and column norms |Md[W, i]| of Md =
+    (M on edges, -penalty off them); all of Md, with no norms, once |W| > m/2."""
     if 2 * W.size > M.shape[0]:
         Md = np.where(edges, M, -penalty)
-        return np.arange(M.shape[0]), Md, Md
+        return np.arange(M.shape[0]), Md, Md, None
     rows = np.where(edges[W], M[W], -penalty)
-    return W, rows, rows[:, W]
+    return W, rows, rows[:, W], np.sqrt(np.einsum("ij,ij->j", rows, rows))
+
+
+def _certified(v: np.ndarray, ref, radius: float) -> bool:
+    """Whether the bound set up at the refresh point ref still puts g <= 0 off C."""
+    return ref is not None and float(np.linalg.norm(v - ref)) <= radius
 
 
 def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, params: SolverParams):
@@ -137,19 +146,21 @@ def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, 
 
     Trials max(u + s*g, 0) lie inside W = supp(u) | {g > 0}: they are scored on
     a block Md[C, C], C a superset of W rebuilt when W leaves C or falls below
-    half of it, and the gradient needs only Md[C, :].  `g` is the last stage's
-    gradient at u, or None; a larger penalty only lowers it, so it bounds W.
+    half of it, and the gradient needs only Md[C, :], applied only when the
+    bound g_i(v) <= g_i(ref) + |Md[C, i]| |v - ref| stops certifying g <= 0
+    off C.  `g` is the last stage's gradient at u, or None; a larger penalty
+    only lowers it, so it bounds W.  The returned g is exact.
     """
     m = u.shape[0]
-    C, rows, block = _penalized_rows(M, edges, penalty, np.flatnonzero((u > 0.0) | (g is None or g > 0.0)))
+    C, rows, block, lip = _penalized_rows(M, edges, penalty, np.flatnonzero((u > 0.0) | (g is None or g > 0.0)))
     g = u[C] @ rows
-    f = None
-    moved = False
+    ref, radius, f = None, 0.0, None
+    moved = stale = False
     for _ in range(params.max_iterations):
         W = np.flatnonzero((u > 0.0) | (g > 0.0))
         if 2 * W.size < C.size or not (np.take(C, np.searchsorted(C, W), mode="clip") == W).all():
-            rows = block = None  # release the old cache before building the next
-            C, rows, block = _penalized_rows(M, edges, penalty, W)
+            rows = block = lip = ref = None  # release the old cache before building the next
+            C, rows, block, lip = _penalized_rows(M, edges, penalty, W)
         uC, gC = u[C], g[C]
         if f is None:  # scored like the trials, so a trial equal to u never wins
             f = float(uC @ (uC @ block))
@@ -170,9 +181,18 @@ def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, 
         moved = True
         u = np.zeros(m)
         u[C] = v
-        g, f, alpha = (gv if rows is block else v @ rows), fv, step * 2.0
+        stale = rows is not block and _certified(v, ref, radius)
+        if rows is block or stale:
+            g[C] = gv  # a stale g keeps off C the negative values it had at ref
+        else:  # the margin covers the rounding of both products (|v| = 1)
+            g = v @ rows
+            slack = np.divide(-g, lip, out=np.zeros(m), where=lip > 0.0)
+            ref, radius = v, float(np.delete(slack, C).min()) - 4.0 * C.size * np.finfo(float).eps
+        f, alpha = fv, step * 2.0
         if float(np.linalg.norm(v - uC)) < params.tol:
             break
+    if stale:
+        g = u[C] @ rows
     return u, g, moved
 
 
@@ -274,15 +294,15 @@ def _round(u: np.ndarray, M: np.ndarray, edges: np.ndarray, rounding: str) -> tu
 def solve_densest(M: np.ndarray, params: SolverParams = SolverParams()) -> Selection:
     """Approximately solve the densest-subset problem on an affinity matrix.
 
-    Deterministic: initialization is a fixed-length power iteration from the
-    all-ones vector and every tie is broken by index order.
+    Deterministic: initialization is a power iteration from the all-ones
+    vector, stopped at `params.tol`, and every tie is broken by index order.
     """
     M = _validate_affinity(M)
     m = M.shape[0]
     if m == 0:
         return Selection((), np.zeros(0), 0.0)
     edges = binarize_constraints(M)
-    u = _power_init(M)
+    u = _power_init(M, params.tol)
     g = None
     penalty = params.initial_penalty
     while penalty <= m + 1.0:

@@ -438,6 +438,7 @@ def run_campaign(cfg: CampaignConfig, workers: int = 1) -> list[TrialRecord]:
     wall-clock durations vary between runs.
     """
     jobs = [(ti, n) for ti in range(len(cfg.tiers)) for n in range(cfg.trials)]
+    workers = min(workers, len(jobs))  # a process pool starts all its workers up front
     if workers <= 1:
         batches = [_run_pair_trials(cfg, ti, n) for ti, n in jobs]
     else:

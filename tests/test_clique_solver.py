@@ -16,7 +16,7 @@ from graffassoc import (
     solve_densest,
 )
 from graffassoc import clique_solver
-from graffassoc.clique_solver import ROUNDING_RULES, _binary_density, _power_init, _round
+from graffassoc.clique_solver import _POWER_ITERATIONS, ROUNDING_RULES, _binary_density, _power_init, _round
 
 
 def planted_matrix(rng, m, block, background=0.3, edge_prob=0.5):
@@ -307,7 +307,7 @@ def dense_relaxation(M, params=SolverParams(), early_exit=False):
     m = M.shape[0]
     edges = binarize_constraints(M)
     violations = (~edges).astype(float)
-    u = _power_init(M)
+    u = _power_init(M, params.tol)
     penalty = params.initial_penalty
     stages = 0
     while penalty <= m + 1.0:
@@ -395,3 +395,201 @@ class TestWorkingSetParity:
             assert np.array_equal(early, full), name
             exited += early_stages < full_stages
         assert exited >= len(instances) // 2
+
+
+# The ascent before the certified refresh: the full-length gradient
+# v @ Md[C, :] is recomputed after every accepted step.
+def every_step_ascend(M, edges, penalty, u, g, params):
+    m = u.shape[0]
+    C, rows, block, _ = clique_solver._penalized_rows(M, edges, penalty, np.flatnonzero((u > 0.0) | (g is None or g > 0.0)))
+    g = u[C] @ rows
+    f = None
+    moved = False
+    for _ in range(params.max_iterations):
+        W = np.flatnonzero((u > 0.0) | (g > 0.0))
+        if 2 * W.size < C.size or not (np.take(C, np.searchsorted(C, W), mode="clip") == W).all():
+            C, rows, block, _ = clique_solver._penalized_rows(M, edges, penalty, W)
+        uC, gC = u[C], g[C]
+        if f is None:
+            f = float(uC @ (uC @ block))
+            alpha = 1.0 / max(1.0, abs(f))
+        step = alpha
+        for _ in range(40):
+            v = np.maximum(uC + step * gC, 0.0)
+            norm = float(np.linalg.norm(v))
+            if norm > 0.0:
+                v /= norm
+                gv = v @ block
+                fv = float(v @ gv)
+                if fv > f:
+                    break
+            step *= 0.5
+        else:
+            break
+        moved = True
+        u = np.zeros(m)
+        u[C] = v
+        g, f, alpha = (gv if rows is block else v @ rows), fv, step * 2.0
+        if float(np.linalg.norm(v - uC)) < params.tol:
+            break
+    return u, g, moved
+
+
+def scene_pair_affinities():
+    """Two scan-pair affinities at m = 500..1000, where most steps work on rows
+    of a working set well below m."""
+    for seed, (n_lines, n_planes, clutter) in [(0, (7, 22, 6)), (1, (8, 28, 8))]:
+        scene = generate_scene(SceneConfig(n_lines=n_lines, n_planes=n_planes, seed=600 + seed))
+        pair = make_loop_pair(scene, PairConfig(overlap=0.8, clutter=clutter, seed=700 + seed))
+        M, _ = build_affinity(pair.scan_i, pair.scan_j, ConsistencyParams(), DistanceFn.GRAFF_SHIFTED)
+        yield f"scene-m{M.shape[0]}", M
+
+
+class TestCertifiedRefresh:
+    @pytest.fixture(scope="class")
+    def instances(self):
+        return list(parity_instances()) + list(scene_pair_affinities())
+
+    def test_matches_every_step_refresh(self, instances, monkeypatch):
+        assert [500 <= M.shape[0] <= 1000 for _, M in instances[-2:]] == [True, True]
+        params = SolverParams()
+        for name, M in instances:
+            sel = solve_densest(M, params)
+            with monkeypatch.context() as patch:
+                patch.setattr(clique_solver, "_ascend", every_step_ascend)
+                ref = solve_densest(M, params)
+            assert sel.indices == ref.indices, name
+            assert sel.objective == ref.objective, name
+            assert np.max(np.abs(sel.u - ref.u)) <= U_TOLERANCE, name
+
+    def test_returned_gradient_is_exact(self, instances, monkeypatch):
+        built = []
+        stages = []
+        penalized_rows, ascend = clique_solver._penalized_rows, clique_solver._ascend
+
+        def recording_rows(M, edges, penalty, W):
+            built[:] = [penalized_rows(M, edges, penalty, W)]
+            return built[0]
+
+        def recording_ascend(M, edges, penalty, u, g, params):
+            u, g, moved = ascend(M, edges, penalty, u, g, params)
+            stages.append((M, edges, penalty, built[0][0], u, g))
+            return u, g, moved
+
+        monkeypatch.setattr(clique_solver, "_penalized_rows", recording_rows)
+        monkeypatch.setattr(clique_solver, "_ascend", recording_ascend)
+        for name, M in instances:
+            stages.clear()
+            solve_densest(M)
+            for M, edges, penalty, C, u, g in stages:
+                rows = np.where(edges[C], M[C], -penalty)
+                assert np.array_equal(g, u[C] @ rows), name
+
+    def test_skipped_refreshes_are_sound(self, instances, monkeypatch):
+        # At every step where the certificate holds, the refresh it skips
+        # would have found g <= 0 everywhere off C.
+        built = []
+        decisions = []
+        penalized_rows, certified = clique_solver._penalized_rows, clique_solver._certified
+
+        def recording_rows(M, edges, penalty, W):
+            built[:] = [penalized_rows(M, edges, penalty, W)]
+            return built[0]
+
+        def checking(v, ref, radius):
+            holds = certified(v, ref, radius)
+            decisions.append(holds)
+            if holds:
+                C, rows = built[0][:2]
+                off = np.ones(rows.shape[1], dtype=bool)
+                off[C] = False
+                assert (v @ rows)[off].max() <= 0.0
+            return holds
+
+        monkeypatch.setattr(clique_solver, "_penalized_rows", recording_rows)
+        monkeypatch.setattr(clique_solver, "_certified", checking)
+        for _, M in instances:
+            solve_densest(M)
+        assert sum(decisions) >= 0.8 * len(decisions) > 1000
+
+
+def fixed_power_init(M, tol):
+    """The init before the tol stop: always _POWER_ITERATIONS steps."""
+    u = np.full(M.shape[0], 1.0 / np.sqrt(M.shape[0]))
+    for _ in range(_POWER_ITERATIONS):
+        v = M @ u
+        norm = float(np.linalg.norm(v))
+        if norm == 0.0:
+            break
+        u = v / norm
+    return u
+
+
+def criterion_4_planted():
+    for seed in range(100):
+        rng = np.random.default_rng(10_000 + seed)
+        block = sorted(int(v) for v in rng.choice(15, 5, replace=False))
+        A = rng.uniform(0.0, 0.3, (15, 15))
+        A = (A + A.T) / 2
+        mask = rng.uniform(0, 1, (15, 15))
+        mask = (mask + mask.T) / 2
+        A[mask < 0.5] = 0.0
+        A[np.ix_(block, block)] = 1.0
+        np.fill_diagonal(A, 1.0)
+        yield f"criterion-4-planted-{seed}", A
+
+
+def counted_matvecs(M):
+    """M as an array that counts the products M @ x taken of it."""
+
+    class Counting(np.ndarray):
+        calls = 0
+
+        def __matmul__(self, other):
+            Counting.calls += 1
+            return np.asarray(self) @ other
+
+    return M.view(Counting), Counting
+
+
+class TestConvergedPowerInit:
+    @pytest.mark.parametrize("rounding", ROUNDING_RULES)
+    def test_keeps_selections(self, rounding, monkeypatch):
+        params = SolverParams(rounding=rounding)
+        for name, M in [*parity_instances(), *criterion_4_planted()]:
+            sel = solve_densest(M, params)
+            with monkeypatch.context() as patch:
+                patch.setattr(clique_solver, "_power_init", fixed_power_init)
+                ref = solve_densest(M, params)
+            assert sel.indices == ref.indices, name
+            assert sel.objective == ref.objective, name
+
+    def test_stops_early_on_scan_affinities(self):
+        for name, M in parity_instances():
+            if name.startswith("scan-"):
+                counted, counter = counted_matvecs(M)
+                _power_init(counted, SolverParams().tol)
+                assert counter.calls < _POWER_ITERATIONS, name
+
+    def test_single_candidate(self):
+        counted, counter = counted_matvecs(np.ones((1, 1)))
+        assert np.array_equal(_power_init(counted, 1e-8), [1.0])
+        assert counter.calls == 1
+
+    def test_identity_stops_at_once(self):
+        counted, counter = counted_matvecs(np.eye(7))
+        assert np.allclose(_power_init(counted, 1e-8), 1.0 / np.sqrt(7), rtol=0.0, atol=1e-15)
+        assert counter.calls == 1
+
+    def test_disconnected_blocks(self):
+        # Two blocks of 3 and 5: the iterate drains from the smaller one at
+        # rate 3/5, so the stop comes well before the cap, close to the
+        # capped result, and the larger block is selected either way.
+        M = block_diag_ones([3, 5])
+        M[:3, :3] = 0.9
+        np.fill_diagonal(M, 1.0)
+        counted, counter = counted_matvecs(M)
+        u = _power_init(counted, 1e-8)
+        assert 10 < counter.calls < _POWER_ITERATIONS
+        assert np.max(np.abs(u - fixed_power_init(M, 1e-8))) <= 1e-7
+        assert solve_densest(M).indices == (3, 4, 5, 6, 7)

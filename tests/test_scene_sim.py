@@ -1,3 +1,6 @@
+from concurrent.futures import Future
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from graffassoc import (
     run_campaign,
     run_trial,
 )
+from graffassoc import scene_sim
 from graffassoc.scene_sim import TIER_TABLE, _derive_seeds
 
 
@@ -288,6 +292,35 @@ class TestCampaign:
             if a.result.error is not None:
                 assert a.result.error.rot_deg == b.result.error.rot_deg
                 assert a.result.error.trans_m == b.result.error.trans_m
+
+    def test_pool_never_larger_than_the_job_list(self, monkeypatch):
+        # A stand-in executor runs the jobs in-process and records the pool
+        # size asked for, so no real processes are started.
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(scene_sim, "ProcessPoolExecutor", InlinePool)
+        cfg = CampaignConfig(seed=5, trials=3, tiers=("easy",), n_lines=3, n_planes=8, clutter=2)
+        pooled = run_campaign(cfg, workers=10_000)
+        assert sizes == [3]
+        serial = run_campaign(cfg, workers=1)
+        assert sizes == [3]
+        timeless = [replace(r, result=replace(r.result, duration_s=0.0)) for r in pooled + serial]
+        assert timeless[:3] == timeless[3:]
 
     def test_multi_fn_campaign_shares_pairs(self):
         cfg = CampaignConfig(
