@@ -14,6 +14,7 @@ between reruns with identical seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -53,6 +54,7 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="graffassoc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

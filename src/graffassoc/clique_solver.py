@@ -14,6 +14,7 @@ provided for small instances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,11 +117,12 @@ def _power_init(M: np.ndarray, tol: float) -> np.ndarray:
     u = np.full(m, 1.0 / np.sqrt(m))
     for _ in range(_POWER_ITERATIONS):
         v = M @ u
-        norm = float(np.linalg.norm(v))
+        norm = math.sqrt(v @ v)
         if norm == 0.0:
             break
         v /= norm
-        if float(np.linalg.norm(v - u)) < tol:
+        d = v - u
+        if math.sqrt(d @ d) < tol:
             return v
         u = v
     return u
@@ -138,7 +140,8 @@ def _penalized_rows(M: np.ndarray, edges: np.ndarray, penalty: float, W: np.ndar
 
 def _certified(v: np.ndarray, ref, radius: float) -> bool:
     """Whether the bound set up at the refresh point ref still puts g <= 0 off C."""
-    return ref is not None and float(np.linalg.norm(v - ref)) <= radius
+    d = None if ref is None else v - ref
+    return d is not None and math.sqrt(d @ d) <= radius
 
 
 def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, params: SolverParams):
@@ -149,26 +152,34 @@ def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, 
     half of it, and the gradient needs only Md[C, :], applied only when the
     bound g_i(v) <= g_i(ref) + |Md[C, i]| |v - ref| stops certifying g <= 0
     off C.  `g` is the last stage's gradient at u, or None; a larger penalty
-    only lowers it, so it bounds W.  The returned g is exact.
+    only lowers it, so it bounds W.  The loop keeps u and g on C only; g off C
+    changes only at a full product, so W can leave C only right after one.
+    The returned g is exact.
     """
     m = u.shape[0]
     C, rows, block, lip = _penalized_rows(M, edges, penalty, np.flatnonzero((u > 0.0) | (g is None or g > 0.0)))
-    g = u[C] @ rows
+    uC = u[C]
+    g = uC @ rows  # the last full product: g off C holds its values
+    gC = g[C]
+    outside = np.count_nonzero(g > 0.0) > np.count_nonzero(gC > 0.0)  # W leaves C
     ref, radius, f = None, 0.0, None
     moved = stale = False
     for _ in range(params.max_iterations):
-        W = np.flatnonzero((u > 0.0) | (g > 0.0))
-        if 2 * W.size < C.size or not (np.take(C, np.searchsorted(C, W), mode="clip") == W).all():
+        if outside or 2 * np.count_nonzero((uC > 0.0) | (gC > 0.0)) < C.size:
+            if moved:  # before the first step u is the caller's array
+                u = np.zeros(m)
+                u[C] = uC
+            g[C] = gC
             rows = block = lip = ref = None  # release the old cache before building the next
-            C, rows, block, lip = _penalized_rows(M, edges, penalty, W)
-        uC, gC = u[C], g[C]
+            C, rows, block, lip = _penalized_rows(M, edges, penalty, np.flatnonzero((u > 0.0) | (g > 0.0)))
+            uC, gC, outside = u[C], g[C], False
         if f is None:  # scored like the trials, so a trial equal to u never wins
             f = float(uC @ (uC @ block))
             alpha = 1.0 / max(1.0, abs(f))
         step = alpha
         for _ in range(40):
             v = np.maximum(uC + step * gC, 0.0)
-            norm = float(np.linalg.norm(v))
+            norm = math.sqrt(v @ v)
             if norm > 0.0:
                 v /= norm
                 gv = v @ block
@@ -179,20 +190,27 @@ def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, 
         else:
             break
         moved = True
-        u = np.zeros(m)
-        u[C] = v
         stale = rows is not block and _certified(v, ref, radius)
+        d = v - uC
+        uC = v
         if rows is block or stale:
-            g[C] = gv  # a stale g keeps off C the negative values it had at ref
+            gC = gv  # a stale g keeps off C the negative values it had at ref
         else:  # the margin covers the rounding of both products (|v| = 1)
             g = v @ rows
+            gC = g[C]
+            outside = np.count_nonzero(g > 0.0) > np.count_nonzero(gC > 0.0)
             slack = np.divide(-g, lip, out=np.zeros(m), where=lip > 0.0)
             ref, radius = v, float(np.delete(slack, C).min()) - 4.0 * C.size * np.finfo(float).eps
         f, alpha = fv, step * 2.0
-        if float(np.linalg.norm(v - uC)) < params.tol:
+        if math.sqrt(d @ d) < params.tol:
             break
+    if moved:
+        u = np.zeros(m)
+        u[C] = uC
     if stale:
-        g = u[C] @ rows
+        g = uC @ rows
+    else:
+        g[C] = gC
     return u, g, moved
 
 

@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .graff_core import _SPAN_RANK_TOL, GraffElement, shifted_graff_distance
+from .graff_core import _SPAN_RANK_TOL, GraffElement, _cross, _unit_rows, shifted_graff_distance
 
 _AFFINITY_ROWS = 64  # affinity temporaries stay _AFFINITY_ROWS x m, not m x m
 
@@ -92,10 +92,7 @@ class Scan:
             if A.shape[2] == 1:
                 rep[idx] = A[:, :, 0]
             else:
-                normal = np.cross(A[:, :, 0], A[:, :, 1])
-                # a 1x3 @ 3x1 product sums like the norm of one vector does,
-                # so each normal is bit-identical to normalizing it alone
-                rep[idx] = normal / np.sqrt(normal[:, None, :] @ normal[:, :, None])[:, 0]
+                rep[idx] = _unit_rows(_cross(A[:, :, 0], A[:, :, 1]))
         object.__setattr__(self, "objects", objects)
         object.__setattr__(self, "kinds", _frozen(kinds))
         object.__setattr__(self, "groups", tuple(groups))
@@ -130,7 +127,7 @@ def generate_candidates(scan_i: Scan, scan_j: Scan) -> list[Candidate]:
 
 def weight(c: float, params: ConsistencyParams) -> float:
     """Kernel score in [0, 1]; scores at or beyond the gate are exactly zero."""
-    if c < 0:
+    if not c >= 0:  # negated, so NaN is rejected too
         raise ValueError("consistency score must be nonnegative")
     if c >= params.epsilon:
         return 0.0

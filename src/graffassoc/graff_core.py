@@ -10,6 +10,7 @@ to principal angles between orthonormal frames.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,7 @@ def _as_float_array(x, shape, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     return arr
 
@@ -125,12 +126,11 @@ class GraffElement:
         if A.ndim != 2 or A.shape[0] != 3 or A.shape[1] not in (1, 2):
             raise ValueError(f"A must be 3x1 or 3x2, got {A.shape}")
         b0 = _as_float_array(self.b0, (3,), "b0")
-        if not np.all(np.isfinite(A)):
+        if not np.isfinite(A).all():
             raise ValueError("A must be finite")
-        k = A.shape[1]
-        if np.max(np.abs(A.T @ A - np.eye(k))) > 1e-12:
+        if np.abs(A.T @ A - np.eye(A.shape[1])).max() > 1e-12:
             raise ValueError("A must be orthonormal; use GraffElement.from_affine")
-        if np.max(np.abs(A.T @ b0)) > 1e-9 * max(1.0, float(np.linalg.norm(b0))):
+        if np.abs(A.T @ b0).max() > 1e-9 * max(1.0, math.sqrt(b0 @ b0)):
             raise ValueError("b0 must be orthogonal to span(A); use GraffElement.from_affine")
         object.__setattr__(self, "A", _readonly(A))
         object.__setattr__(self, "b0", _readonly(b0))
@@ -145,16 +145,11 @@ class GraffElement:
         A = np.asarray(A, dtype=float)
         if A.ndim != 2 or A.shape[0] != 3 or A.shape[1] not in (1, 2):
             raise ValueError(f"A must be 3x1 or 3x2, got {A.shape}")
-        if not np.all(np.isfinite(A)):
+        if not np.isfinite(A).all():
             raise ValueError("A must be finite")
-        k = A.shape[1]
-        if np.max(np.abs(A.T @ A - np.eye(k))) > ORTHONORMAL_TOL:
+        if np.abs(A.T @ A - np.eye(A.shape[1])).max() > ORTHONORMAL_TOL:
             raise ValueError("basis is not orthonormal")
-        # Clean up rounding while preserving column directions.
-        q, r = np.linalg.qr(A)
-        q = q * np.sign(np.diag(r))
-        b = _as_float_array(b, (3,), "b")
-        return cls(q, b - q @ (q.T @ b))
+        return _element(_frames(A[None], _as_float_array(b, (3,), "b")[None]))
 
     def translated(self, delta) -> "GraffElement":
         delta = _as_float_array(delta, (3,), "delta")
@@ -311,8 +306,46 @@ def grassmann_distance(el1: GraffElement, el2: GraffElement) -> float:
     return float(np.sqrt(th @ th))
 
 
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    # a 1x3 @ 3x1 product sums like the norm of one vector does, so each row
+    # is bit-identical to normalizing it alone
+    return v / np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross product in np.cross's arithmetic, without its per-call setup."""
+    return a[:, [1, 2, 0]] * b[:, [2, 0, 1]] - a[:, [2, 0, 1]] * b[:, [1, 2, 0]]
+
+
+def _frames(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical bases and displacements from near-orthonormal bases A (n x 3 x k)
+    and points b (n x 3): QR keeps column directions, b0 drops b's part in span(A)."""
+    q, r = np.linalg.qr(A)
+    q = q * np.sign(r.diagonal(0, 1, 2))[:, None, :]
+    return q, b - (q @ (q.transpose(0, 2, 1) @ b[:, :, None]))[:, :, 0]
+
+
+def _stacked_frames(k: int, v: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_frames` of n lines (k = 1: unit directions v, points x) or n planes (k = 2:
+    unit normals v, offsets x) with PlaneHesse's sign rule, each row bit-identical
+    to from_pd or from_hesse on the object alone."""
+    if k == 1:
+        return _frames(v[:, :, None], x)
+    first = v[np.arange(len(v)), np.argmax(v != 0.0, axis=1)]
+    flip = (x < 0.0) | ((x == 0.0) & (first < 0.0))
+    n, d = np.where(flip[:, None], -v, v), np.where(x < 0.0, -x, x)
+    helper = np.zeros(n.shape)
+    helper[np.arange(len(n)), np.argmin(np.abs(n), axis=1)] = 1.0
+    u = _unit_rows(_cross(n, helper))
+    return _frames(np.stack([u, _cross(n, u)], axis=2), d[:, None] * n)
+
+
+def _element(frames: tuple[np.ndarray, np.ndarray]) -> GraffElement:
+    return GraffElement(frames[0][0], frames[1][0])
+
+
 def from_pd(line: LinePD) -> GraffElement:
-    return GraffElement.from_affine(line.a[:, None], line.p)
+    return _element(_stacked_frames(1, line.a[None], line.p[None]))
 
 
 def to_pd(el: GraffElement) -> LinePD:
@@ -326,13 +359,7 @@ def from_hesse(plane: PlaneHesse) -> GraffElement:
 
     The basis choice is a gauge: all distances are invariant to it.
     """
-    n = plane.n
-    helper = np.zeros(3)
-    helper[int(np.argmin(np.abs(n)))] = 1.0
-    u = np.cross(n, helper)
-    u /= np.linalg.norm(u)
-    v = np.cross(n, u)
-    return GraffElement.from_affine(np.column_stack([u, v]), plane.d * n)
+    return _element(_stacked_frames(2, plane.n[None], np.array([plane.d])))
 
 
 def to_hesse(el: GraffElement) -> PlaneHesse:

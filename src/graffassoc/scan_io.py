@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .consistency import Scan
-from .graff_core import GraffElement, LinePD, PlaneHesse, from_hesse, from_pd, to_hesse, to_pd
+from .graff_core import GraffElement, _stacked_frames, _unit_rows, to_hesse, to_pd
 
 __all__ = ["ScanFormatError", "SCHEMA_VERSION", "load_scan", "save_scan", "scan_to_dict", "scan_from_dict"]
 
@@ -44,6 +44,8 @@ def _vector(obj, field: str, where: str) -> np.ndarray:
     if not isinstance(obj, (list, tuple)) or len(obj) != 3:
         raise ScanFormatError(f"{where}.{field} must be a list of 3 numbers")
     try:
+        if any(isinstance(v, bool) for v in obj):  # float(True) would read as 1.0
+            raise TypeError
         vec = np.array([float(v) for v in obj], dtype=float)
     except (TypeError, ValueError):
         raise ScanFormatError(f"{where}.{field} must contain numbers only") from None
@@ -62,7 +64,8 @@ def _unit(obj, field: str, where: str) -> np.ndarray:
     return vec / norm
 
 
-def _object_from_dict(entry, index: int) -> tuple[GraffElement, np.ndarray | None]:
+def _object_from_dict(entry, index: int) -> tuple[int, np.ndarray, np.ndarray | float, np.ndarray | None]:
+    """Validated fields of one object: (k, direction or normal, point or d, centroid)."""
     where = f"objects[{index}]"
     if not isinstance(entry, dict):
         raise ScanFormatError(f"{where} must be an object")
@@ -74,8 +77,7 @@ def _object_from_dict(entry, index: int) -> tuple[GraffElement, np.ndarray | Non
         if "direction" not in block or "point" not in block:
             raise ScanFormatError(f"{where}.line needs both direction and point")
         direction = _unit(block["direction"], "direction", f"{where}.line")
-        point = _vector(block["point"], "point", f"{where}.line")
-        element = from_pd(LinePD(direction, point))
+        fields = 1, direction, _vector(block["point"], "point", f"{where}.line")
     elif kind == "plane":
         block = entry.get("plane")
         if not isinstance(block, dict):
@@ -84,12 +86,14 @@ def _object_from_dict(entry, index: int) -> tuple[GraffElement, np.ndarray | Non
             raise ScanFormatError(f"{where}.plane needs both normal and d")
         normal = _unit(block["normal"], "normal", f"{where}.plane")
         try:
+            if isinstance(block["d"], bool):
+                raise TypeError
             d = float(block["d"])
         except (TypeError, ValueError):
             raise ScanFormatError(f"{where}.plane.d must be a number") from None
         if not np.isfinite(d):
             raise ScanFormatError(f"{where}.plane.d must be finite")
-        element = from_hesse(PlaneHesse(normal, d))
+        fields = 2, normal, d
     elif kind is None:
         raise ScanFormatError(f"{where} is missing the kind field")
     else:
@@ -97,7 +101,7 @@ def _object_from_dict(entry, index: int) -> tuple[GraffElement, np.ndarray | Non
     centroid = None
     if "centroid" in entry and entry["centroid"] is not None:
         centroid = _vector(entry["centroid"], "centroid", where)
-    return element, centroid
+    return *fields, centroid
 
 
 def scan_from_dict(doc, source: str = "<scan>") -> Scan:
@@ -114,18 +118,24 @@ def scan_from_dict(doc, source: str = "<scan>") -> Scan:
     raw_objects = doc.get("objects")
     if not isinstance(raw_objects, list):
         raise ScanFormatError(f"{source}: objects must be a list")
-    objects = []
-    centroids = []
+    parsed = []
     for index, entry in enumerate(raw_objects):
         try:
-            element, centroid = _object_from_dict(entry, index)
+            parsed.append(_object_from_dict(entry, index))
         except ScanFormatError as exc:
             raise ScanFormatError(f"{source}: {exc}") from None
-        objects.append(element)
-        centroids.append(centroid)
+    centroids = [fields[3] for fields in parsed]
     has_centroids = any(c is not None for c in centroids)
     if has_centroids and not all(c is not None for c in centroids):
         raise ScanFormatError(f"{source}: either all objects carry a centroid or none do")
+    objects = [None] * len(parsed)
+    for k in (1, 2):
+        idx = [i for i, fields in enumerate(parsed) if fields[0] == k]
+        if idx:
+            # LinePD and PlaneHesse normalize the (already unit) vectors once more
+            v, x = _unit_rows(np.array([parsed[i][1] for i in idx])), np.array([parsed[i][2] for i in idx])
+            for i, A, b0 in zip(idx, *_stacked_frames(k, v, x)):
+                objects[i] = GraffElement(A, b0)
     return Scan(
         id=scan_id,
         objects=tuple(objects),

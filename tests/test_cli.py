@@ -132,12 +132,20 @@ MALFORMED_CASES = [
         '{"schema": 1, "id": "x", "objects": [{"kind": "line", "line": {"direction": [0,0,0], "point": [0,0,0]}}]}',
     ),
     (
+        "direction_boolean",
+        '{"schema": 1, "id": "x", "objects": [{"kind": "line", "line": {"direction": [true,0,0], "point": [0,0,0]}}]}',
+    ),
+    (
         "plane_missing_d",
         '{"schema": 1, "id": "x", "objects": [{"kind": "plane", "plane": {"normal": [0,0,1]}}]}',
     ),
     (
         "plane_d_not_number",
         '{"schema": 1, "id": "x", "objects": [{"kind": "plane", "plane": {"normal": [0,0,1], "d": "two"}}]}',
+    ),
+    (
+        "plane_d_boolean",
+        '{"schema": 1, "id": "x", "objects": [{"kind": "plane", "plane": {"normal": [0,0,1], "d": false}}]}',
     ),
     (
         "plane_d_infinite",
@@ -155,8 +163,63 @@ MALFORMED_CASES = [
     ),
 ]
 
+# The loader's message for each case, after the "<path>: " prefix.
+MALFORMED_MESSAGES = {
+    "not_json": "invalid JSON at line 1 column 1: Expecting value",
+    "truncated": "invalid JSON at line 1 column 38: Expecting value",
+    "top_level_array": "top level must be an object",
+    "missing_schema": "missing schema field",
+    "schema_wrong_type": "unsupported schema 'one', expected 1",
+    "schema_unsupported": "unsupported schema 2, expected 1",
+    "missing_id": "id must be a string",
+    "id_not_string": "id must be a string",
+    "missing_objects": "objects must be a list",
+    "objects_not_list": "objects must be a list",
+    "object_not_dict": "objects[0] must be an object",
+    "missing_kind": "objects[0] is missing the kind field",
+    "unknown_kind": "objects[0].kind must be 'line' or 'plane', got 'sphere'",
+    "line_block_missing": "objects[0].line must be an object with direction and point",
+    "line_missing_point": "objects[0].line needs both direction and point",
+    "direction_wrong_length": "objects[0].line.direction must be a list of 3 numbers",
+    "direction_not_numeric": "objects[0].line.direction must contain numbers only",
+    "direction_nan": "objects[0].line.direction must be finite",
+    "direction_zero": "objects[0].line.direction has zero norm",
+    "direction_boolean": "objects[0].line.direction must contain numbers only",
+    "plane_missing_d": "objects[0].plane needs both normal and d",
+    "plane_d_not_number": "objects[0].plane.d must be a number",
+    "plane_d_boolean": "objects[0].plane.d must be a number",
+    "plane_d_infinite": "objects[0].plane.d must be finite",
+    "centroid_wrong_length": "objects[0].centroid must be a list of 3 numbers",
+    "centroids_partial": "either all objects carry a centroid or none do",
+}
+
 
 class TestMalformedCorpus:
+    @pytest.mark.parametrize("name,content", MALFORMED_CASES, ids=[c[0] for c in MALFORMED_CASES])
+    def test_message_names_the_field(self, tmp_path, name, content):
+        path = tmp_path / f"{name}.json"
+        path.write_text(content)
+        with pytest.raises(ScanFormatError) as err:
+            load_scan(path)
+        assert str(err.value) == f"{path}: {MALFORMED_MESSAGES[name]}"
+
+    def test_first_bad_object_is_reported_after_earlier_warnings(self, tmp_path):
+        path = tmp_path / "scan.json"
+        objects = [
+            {"kind": "plane", "plane": {"normal": [0, 0, 2], "d": 1}},
+            {"kind": "line", "line": {"direction": [0, 1.5, 0], "point": [0, 0, 0]}},
+            {"kind": "line", "line": {"direction": [0, 0, 1], "point": [0, False, 0]}},
+            {"kind": "plane", "plane": {"normal": [1, 0, 0], "d": True}},
+        ]
+        path.write_text(json.dumps({"schema": 1, "id": "x", "objects": objects}))
+        with pytest.warns(UserWarning) as record, pytest.raises(ScanFormatError) as err:
+            load_scan(path)
+        assert [str(w.message) for w in record] == [
+            "objects[0].plane.normal norm 2 deviates from 1; renormalizing",
+            "objects[1].line.direction norm 1.5 deviates from 1; renormalizing",
+        ]
+        assert str(err.value) == f"{path}: objects[2].line.point must contain numbers only"
+
     @pytest.mark.parametrize("name,content", MALFORMED_CASES, ids=[c[0] for c in MALFORMED_CASES])
     def test_loader_raises_with_diagnostics(self, tmp_path, name, content):
         path = tmp_path / f"{name}.json"

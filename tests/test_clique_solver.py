@@ -513,6 +513,74 @@ class TestCertifiedRefresh:
         assert sum(decisions) >= 0.8 * len(decisions) > 1000
 
 
+# The ascent before it kept u and g on the working set: full-length u and g
+# after every accepted step, W and the W-in-C test over all m entries, and
+# norms through np.linalg.norm.
+def full_length_ascend(M, edges, penalty, u, g, params):
+    m = u.shape[0]
+    C, rows, block, lip = clique_solver._penalized_rows(M, edges, penalty, np.flatnonzero((u > 0.0) | (g is None or g > 0.0)))
+    g = u[C] @ rows
+    ref, radius, f = None, 0.0, None
+    moved = stale = False
+    for _ in range(params.max_iterations):
+        W = np.flatnonzero((u > 0.0) | (g > 0.0))
+        if 2 * W.size < C.size or not (np.take(C, np.searchsorted(C, W), mode="clip") == W).all():
+            rows = block = lip = ref = None
+            C, rows, block, lip = clique_solver._penalized_rows(M, edges, penalty, W)
+        uC, gC = u[C], g[C]
+        if f is None:
+            f = float(uC @ (uC @ block))
+            alpha = 1.0 / max(1.0, abs(f))
+        step = alpha
+        for _ in range(40):
+            v = np.maximum(uC + step * gC, 0.0)
+            norm = float(np.linalg.norm(v))
+            if norm > 0.0:
+                v /= norm
+                gv = v @ block
+                fv = float(v @ gv)
+                if fv > f:
+                    break
+            step *= 0.5
+        else:
+            break
+        moved = True
+        u = np.zeros(m)
+        u[C] = v
+        stale = rows is not block and ref is not None and float(np.linalg.norm(v - ref)) <= radius
+        if rows is block or stale:
+            g[C] = gv
+        else:
+            g = v @ rows
+            slack = np.divide(-g, lip, out=np.zeros(m), where=lip > 0.0)
+            ref, radius = v, float(np.delete(slack, C).min()) - 4.0 * C.size * np.finfo(float).eps
+        f, alpha = fv, step * 2.0
+        if float(np.linalg.norm(v - uC)) < params.tol:
+            break
+    if stale:
+        g = u[C] @ rows
+    return u, g, moved
+
+
+class TestWorkingSetArrays:
+    def test_every_stage_bitwise_equal_to_full_length_ascend(self, monkeypatch):
+        ascend = clique_solver._ascend
+        stages = []
+
+        def checking(M, edges, penalty, u, g, params):
+            ref = full_length_ascend(M, edges, penalty, u.copy(), None if g is None else g.copy(), params)
+            out = ascend(M, edges, penalty, u, g, params)
+            stages.append(out[2] == ref[2] and all(a.tobytes() == b.tobytes() for a, b in zip(out[:2], ref[:2])))
+            return out
+
+        monkeypatch.setattr(clique_solver, "_ascend", checking)
+        for name, M in [*parity_instances(), *scene_pair_affinities()]:
+            count = len(stages)
+            solve_densest(M)
+            assert all(stages[count:]), name
+        assert len(stages) > 300
+
+
 def fixed_power_init(M, tol):
     """The init before the tol stop: always _POWER_ITERATIONS steps."""
     u = np.full(M.shape[0], 1.0 / np.sqrt(M.shape[0]))

@@ -87,6 +87,8 @@ class TestWeight:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             weight(-0.1, ConsistencyParams())
+        with pytest.raises(ValueError, match="^consistency score must be nonnegative$"):
+            weight(float("nan"), ConsistencyParams())
 
     def test_params_validated(self):
         with pytest.raises(ValueError):

@@ -348,6 +348,14 @@ class TestElementConstruction:
         with pytest.raises(ValueError):
             GraffElement.from_affine(np.eye(3), np.zeros(3))
 
+    def test_rejection_messages(self):
+        with pytest.raises(ValueError, match="^A must be finite$"):
+            GraffElement.from_affine(np.array([[np.nan], [0.0], [1.0]]), np.zeros(3))
+        with pytest.raises(ValueError, match="^basis is not orthonormal$"):
+            GraffElement.from_affine(np.array([[1.0], [1.0], [0.0]]), np.zeros(2))
+        with pytest.raises(ValueError, match=r"^b must have shape \(3,\), got \(2,\)$"):
+            GraffElement.from_affine(E1[:, None], np.zeros(2))
+
     def test_elements_are_immutable(self):
         el = random_line(np.random.default_rng(17))
         with pytest.raises(ValueError):
