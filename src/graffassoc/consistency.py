@@ -7,20 +7,35 @@ the matched objects inside scan j; agreement is gated at epsilon and scored
 with a Gaussian kernel of width sigma.  Every distance function builds its
 m x m affinity through one blockwise kernel, `_blockwise_affinity`, which
 holds no m x m temporary besides the affinity itself.
+
+Within a scan, each object has one direction or normal r (`Scan.rep`), so
+`_pair_geometry` needs no SVD.  The direction angle is arctan2(|r x r'|,
+|r . r'|) for two lines or two planes and arcsin|d . n| for a line and a
+plane.  The minimal separation, the part of delta = b0' - b0 outside the
+joint direction span, is |delta . (d x d')| / |d x d'| for two lines that are
+not parallel, the part of delta off d for parallel lines, |delta . n| for a
+plane parallel to the other object, and 0 for pairs that meet.  Parallel
+means sin(angle) <= sqrt(2) * 1e-8 (see `_PARALLEL_SIN`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import product
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .graff_core import _SPAN_RANK_TOL, GraffElement, _cross, _unit_rows, shifted_graff_distance
+from .graff_core import GraffElement, _cross, _unit_rows, shifted_graff_distance
 
 _AFFINITY_ROWS = 64  # affinity temporaries stay _AFFINITY_ROWS x m, not m x m
+
+# graff_core.subspace_gap drops singular values <= 1e-8 of the joint basis.  A
+# pair t from parallel has smallest singular value sqrt(2) sin(t / 2) ~ t / sqrt(2)
+# (two lines, two planes, or a line and a plane), so the same decision on
+# sin t = |r x r'| (|d . n| for a line and a plane) is sin t <= sqrt(2) * 1e-8.
+_PARALLEL_SIN = math.sqrt(2.0) * 1e-8
 
 __all__ = [
     "Scan",
@@ -59,17 +74,16 @@ class Scan:
     functions; geometry-only pipelines can leave it out.
 
     The geometry is also stacked once, at construction, into the arrays the
-    matcher reads: `kinds` (subspace dimension per object), `groups` (per
-    dimension present, lines first: the object indices and their stacked
-    bases), `b0` (orthogonal displacements), `rep` (a line's direction, a
-    plane's unit normal) and `centroids` as an n x 3 array.
+    matcher reads: `kinds` (subspace dimension per object), `b0`
+    (orthogonal displacements), `rep` (a line's direction, a plane's unit
+    normal) and `centroids` as an n x 3 array.  The pairwise distances
+    within a scan read only `kinds`, `rep` and `b0`.
     """
 
     id: str
     objects: tuple[GraffElement, ...]
     centroids: np.ndarray | None = None
     kinds: np.ndarray = field(init=False, repr=False)
-    groups: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False, repr=False)
     b0: np.ndarray = field(init=False, repr=False)
     rep: np.ndarray = field(init=False, repr=False)
 
@@ -82,20 +96,14 @@ class Scan:
                 raise ValueError("centroids must align one-to-one with objects")
             object.__setattr__(self, "centroids", _frozen(cents))
         kinds = np.array([el.k for el in objects], dtype=int)
-        groups = []
+        rep = np.zeros((n, 3))
         for k in (1, 2):
             idx = np.flatnonzero(kinds == k)
             if idx.size:
-                groups.append((_frozen(idx), _frozen(np.stack([objects[i].A for i in idx]))))
-        rep = np.zeros((n, 3))
-        for idx, A in groups:
-            if A.shape[2] == 1:
-                rep[idx] = A[:, :, 0]
-            else:
-                rep[idx] = _unit_rows(_cross(A[:, :, 0], A[:, :, 1]))
+                A = np.stack([objects[i].A for i in idx])
+                rep[idx] = A[:, :, 0] if k == 1 else _unit_rows(_cross(A[:, :, 0], A[:, :, 1]))
         object.__setattr__(self, "objects", objects)
         object.__setattr__(self, "kinds", _frozen(kinds))
-        object.__setattr__(self, "groups", tuple(groups))
         object.__setattr__(self, "b0", _frozen(np.array([el.b0 for el in objects], dtype=float).reshape(n, 3)))
         object.__setattr__(self, "rep", _frozen(rep))
 
@@ -173,15 +181,24 @@ def unique_matches(
     return tuple(sorted(kept))
 
 
-def _direction_angle_sq(scan: Scan) -> np.ndarray:
-    """Sum of squared principal angles between the direction subspaces of
-    every object pair, batched per pair of dimensions so the small SVDs run
-    vectorized.  The direction part of both Grassmannian distances."""
-    D = np.zeros((len(scan), len(scan)))
-    for (idx_x, Ax), (idx_y, Ay) in product(scan.groups, repeat=2):
-        sigma = np.linalg.svd(np.einsum("xak,yal->xykl", Ax, Ay), compute_uv=False)
-        D[np.ix_(idx_x, idx_y)] = np.sum(np.arccos(np.clip(sigma, 0.0, 1.0)) ** 2, axis=2)
-    return D
+def _pair_geometry(scan: Scan) -> tuple[np.ndarray, np.ndarray]:
+    """Direction angle and minimal separation of every object pair (n x n
+    each, exactly 0 on the diagonal), by the closed forms of the module doc."""
+    r, line, n = scan.rep, scan.kinds == 1, len(scan)
+    cross = _cross(np.repeat(r, n, axis=0), np.tile(r, (n, 1))).reshape(n, n, 3)
+    sin, cos = np.sqrt(np.einsum("xya,xya->xy", cross, cross)), np.abs(r @ r.T)
+    mixed = line[:, None] != line[None, :]
+    sin, cos = np.where(mixed, cos, sin), np.where(mixed, sin, cos)
+    parallel, lines = sin <= _PARALLEL_SIN, line[:, None] & line[None, :]
+    delta = scan.b0[None, :, :] - scan.b0[:, None, :]
+    gap = np.zeros((n, n))
+    x, y = np.nonzero(lines & parallel)
+    gap[x, y] = np.linalg.norm(_cross(delta[x, y], r[x]), axis=1)  # |delta x d|, the part off d
+    x, y = np.nonzero(lines != parallel)  # skew lines (normal d x d') or a plane parallel to the other (n)
+    skew = line[x] & line[y]
+    normal = np.where(skew[:, None], cross[x, y], np.where(line[x, None], r[y], r[x]))
+    gap[x, y] = np.abs(np.einsum("pa,pa->p", delta[x, y], normal)) / np.where(skew, sin[x, y], 1.0)
+    return np.arctan2(sin, cos), gap
 
 
 def internal_distance_matrix(scan: Scan, rho: float) -> np.ndarray:
@@ -192,32 +209,13 @@ def internal_distance_matrix(scan: Scan, rho: float) -> np.ndarray:
     """
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    gap = np.zeros((len(scan), len(scan)))
-    for (idx_x, Ax), (idx_y, Ay) in product(scan.groups, repeat=2):
-        # minimal separation: displacement outside the joint span
-        nx, kx = len(idx_x), Ax.shape[2]
-        ny, ky = len(idx_y), Ay.shape[2]
-        joint = np.concatenate(
-            [np.broadcast_to(Ax[:, None], (nx, ny, 3, kx)), np.broadcast_to(Ay[None, :], (nx, ny, 3, ky))],
-            axis=3,
-        )
-        U, s, _ = np.linalg.svd(joint, full_matrices=True)
-        delta = scan.b0[idx_y][None, :, :] - scan.b0[idx_x][:, None, :]
-        coeff = np.einsum("xyac,xya->xyc", U, delta)
-        keep = np.zeros((nx, ny, 3))
-        keep[..., : s.shape[2]] = s > _SPAN_RANK_TOL
-        r = delta - np.einsum("xyac,xyc->xya", U, coeff * keep)
-        gap[np.ix_(idx_x, idx_y)] = np.sqrt(np.sum(r * r, axis=2))
+    theta, gap = _pair_geometry(scan)
     th_aff = np.arctan(gap / rho)
-    D = np.sqrt(_direction_angle_sq(scan) + th_aff * th_aff)
-    np.fill_diagonal(D, 0.0)
-    return D
+    return np.sqrt(theta * theta + th_aff * th_aff)
 
 
 def _gr_distance_matrix(scan: Scan) -> np.ndarray:
-    D = np.sqrt(_direction_angle_sq(scan))
-    np.fill_diagonal(D, 0.0)
-    return D
+    return _pair_geometry(scan)[0]
 
 
 def _rep_vector_angle_matrix(scan: Scan) -> np.ndarray:

@@ -12,15 +12,16 @@ Schema (version 1)::
       ]
     }
 
-Directions and normals must be unit vectors; deviations up to 1e-3 are
-silently renormalized, anything larger is renormalized with a warning, and
-zero-norm or non-finite values are rejected.  Loader errors always name the
-offending field.
+Coordinates are JSON numbers (not strings), finite and at most 1e150 in
+magnitude.  Directions and normals must be unit vectors; deviations up to
+1e-3 are silently renormalized, anything larger is renormalized with a
+warning, and zero norms are rejected.  Loader errors name the field.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -35,23 +36,31 @@ SCHEMA_VERSION = 1
 
 _NORM_WARN_TOL = 1e-3
 
+# bound on every coordinate: a squared distance between two bounded points is
+# at most 12e300, so it and sums of many stay finite (1e308 squared overflows)
+_MAX_ABS = 1e150
+
 
 class ScanFormatError(ValueError):
     """Malformed scan document; the message names file, field and problem."""
 
 
+def _numbers(values, name: str, not_numbers: str) -> np.ndarray:
+    """JSON numbers as floats.  float() would also take numeric strings and
+    bools; those are rejected, and so is any value not finite or beyond _MAX_ABS."""
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        raise ScanFormatError(f"{name} {not_numbers}")
+    if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+        raise ScanFormatError(f"{name} must be finite")
+    if not all(abs(v) <= _MAX_ABS for v in values):  # exact for ints beyond float range too
+        raise ScanFormatError(f"{name} must not exceed {_MAX_ABS:g} in magnitude")
+    return np.array([float(v) for v in values])
+
+
 def _vector(obj, field: str, where: str) -> np.ndarray:
     if not isinstance(obj, (list, tuple)) or len(obj) != 3:
         raise ScanFormatError(f"{where}.{field} must be a list of 3 numbers")
-    try:
-        if any(isinstance(v, bool) for v in obj):  # float(True) would read as 1.0
-            raise TypeError
-        vec = np.array([float(v) for v in obj], dtype=float)
-    except (TypeError, ValueError):
-        raise ScanFormatError(f"{where}.{field} must contain numbers only") from None
-    if not np.all(np.isfinite(vec)):
-        raise ScanFormatError(f"{where}.{field} must be finite")
-    return vec
+    return _numbers(obj, f"{where}.{field}", "must contain numbers only")
 
 
 def _unit(obj, field: str, where: str) -> np.ndarray:
@@ -85,15 +94,7 @@ def _object_from_dict(entry, index: int) -> tuple[int, np.ndarray, np.ndarray | 
         if "normal" not in block or "d" not in block:
             raise ScanFormatError(f"{where}.plane needs both normal and d")
         normal = _unit(block["normal"], "normal", f"{where}.plane")
-        try:
-            if isinstance(block["d"], bool):
-                raise TypeError
-            d = float(block["d"])
-        except (TypeError, ValueError):
-            raise ScanFormatError(f"{where}.plane.d must be a number") from None
-        if not np.isfinite(d):
-            raise ScanFormatError(f"{where}.plane.d must be finite")
-        fields = 2, normal, d
+        fields = 2, normal, float(_numbers([block["d"]], f"{where}.plane.d", "must be a number")[0])
     elif kind is None:
         raise ScanFormatError(f"{where} is missing the kind field")
     else:

@@ -3,14 +3,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_element, random_line, random_plane, random_transform
+from conftest import random_element, random_line, random_plane, random_rotation, random_transform
 from graffassoc import (
     Candidate,
     ConsistencyParams,
     DistanceFn,
+    LinePD,
+    PlaneHesse,
     Scan,
     build_affinity,
     consistency_score,
+    from_hesse,
+    from_pd,
     generate_candidates,
     grassmann_distance,
     internal_distance_matrix,
@@ -18,6 +22,7 @@ from graffassoc import (
     weight,
 )
 from graffassoc import consistency
+from graffassoc.graff_core import subspace_gap
 from graffassoc.consistency import (
     _blockwise_affinity,
     _centroid_distance_matrix,
@@ -40,6 +45,34 @@ def transformed_scan(scan, T, scan_id="t"):
         objects=tuple(el.transformed(T) for el in scan.objects),
         centroids=None if scan.centroids is None else tuple(T.apply(c) for c in scan.centroids),
     )
+
+
+SPAN_RANK_TOL = 1e-8  # graff_core's rank tolerance for a joint direction span
+
+
+def near_parallel_pairs(rng):
+    """(element, element, t): two lines, a plane and a line, or two planes
+    turned t from parallel, for t = 0 and 0.5, 1 and 2 times the rank
+    tolerance, offset h = 0 (coplanar, or a line in a plane) or h = 2.5 m
+    along their common normal.  Each pair has its own random frame.  With
+    h > 0, a parallel decision other than the rank test's moves the gap by
+    about h: the line and plane pairs meet at 2x and are 2.5 m apart below."""
+
+    def line(d, p):
+        return from_pd(LinePD(d, p))
+
+    def plane(n, p):
+        return from_hesse(PlaneHesse(n, float(n @ p)))
+
+    for t in (0.0, 0.5 * SPAN_RANK_TOL, SPAN_RANK_TOL, 2.0 * SPAN_RANK_TOL):
+        c, s = np.cos(t), np.sin(t)
+        for h in (0.0, 2.5):
+            for build in (
+                lambda d, u, w, p: (line(d, p), line(c * d + s * u, p + h * w)),
+                lambda d, u, w, p: (plane(w, p), line(c * u + s * w, p + h * w)),
+                lambda d, u, w, p: (plane(w, p), plane(c * w + s * u, p + h * w)),
+            ):
+                yield *build(*random_rotation(rng).T, rng.uniform(-30.0, 30.0, 3)), t
 
 
 class TestCandidates:
@@ -198,6 +231,35 @@ class TestInternalDistanceMatrix:
         scan = make_scan(rng, 1, 1, centroids=True)
         D = _centroid_distance_matrix(scan)
         assert D[0, 1] == pytest.approx(np.linalg.norm(scan.centroids[0] - scan.centroids[1]))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_closed_form_matches_per_object_oracle(self, seed):
+        # Random lines and planes plus pairs built within 1e-6 rad of
+        # parallel, where the oracle's arccos floors at ~1.5e-8 rad: their
+        # angle is checked against the angle they were built with.
+        rng = np.random.default_rng(60 + seed)
+        rho = 40.0
+        objects = [random_line(rng) for _ in range(10)] + [random_plane(rng) for _ in range(10)]
+        built = {}
+        for el_a, el_b, t in near_parallel_pairs(rng):
+            built[len(objects), len(objects) + 1] = t
+            objects += [el_a, el_b]
+        scan = Scan("s", tuple(objects))
+        D, D_gr = internal_distance_matrix(scan, rho), _gr_distance_matrix(scan)
+        assert np.all(np.diag(D) == 0.0) and np.all(np.diag(D_gr) == 0.0)
+        n = len(objects)
+        for x in range(n):
+            for y in range(n):
+                el_x, el_y = objects[x], objects[y]
+                t = built.get((min(x, y), max(x, y)))
+                if x == y:
+                    expect, expect_gr = 0.0, 0.0
+                elif t is None:
+                    expect, expect_gr = shifted_graff_distance(el_x, el_y, rho), grassmann_distance(el_x, el_y)
+                else:
+                    expect, expect_gr = np.hypot(t, np.arctan(subspace_gap(el_x, el_y) / rho)), t
+                assert abs(D[x, y] - expect) <= 1e-10, (x, y)
+                assert abs(D_gr[x, y] - expect_gr) <= 1e-10, (x, y)
 
     def test_empty_scan(self):
         assert internal_distance_matrix(Scan("e", ()), 1.0).shape == (0, 0)

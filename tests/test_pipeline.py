@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_line, random_plane, random_transform, rot_angle_rad
 from graffassoc import (
+    ConsistencyParams,
     DistanceFn,
     GraffElement,
     MatchSet,
@@ -13,11 +14,13 @@ from graffassoc import (
     Scan,
     SceneConfig,
     associate_scans,
+    build_affinity,
     estimate_transform,
     generate_scene,
     make_loop_pair,
     match_residuals,
     rotation_about_axis,
+    solve_densest,
     to_hesse,
     to_pd,
     transform_line,
@@ -25,7 +28,7 @@ from graffassoc import (
     verify,
 )
 from graffassoc.cli import main
-from graffassoc.pipeline import _match_set
+from graffassoc.pipeline import PIPELINE_SOLVER, _match_set
 from graffassoc.scan_io import save_scan
 
 
@@ -185,6 +188,24 @@ class TestPipelineProperties:
         assert moved.matches == base.matches
         assert np.max(np.abs(moved.transform.R - expected.R)) < 1e-9
         assert np.max(np.abs(moved.transform.t - expected.t)) < 1e-9
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("fn", list(DistanceFn))
+def test_swapping_the_scans_permutes_affinity_and_selection(seed, fn):
+    # Only the affinity and the selection are swap-symmetric: the final
+    # translation is a least-squares fit in the target frame, so the
+    # matches after refinement may differ between the two directions.
+    pair = loop_pair(seed)
+    params = ConsistencyParams()
+    M, cands = build_affinity(pair.scan_i, pair.scan_j, params, fn)
+    M_swap, cands_swap = build_affinity(pair.scan_j, pair.scan_i, params, fn)
+    index = {cand: k for k, cand in enumerate(cands)}
+    perm = np.array([index[b, a] for a, b in cands_swap])
+    assert np.array_equal(M_swap.view(np.uint64), M[np.ix_(perm, perm)].view(np.uint64))
+    sel, sel_swap = solve_densest(M, PIPELINE_SOLVER), solve_densest(M_swap, PIPELINE_SOLVER)
+    assert sorted(perm[list(sel_swap.indices)]) == sorted(sel.indices)
+    assert abs(sel_swap.objective - sel.objective) <= 1e-12
 
 
 def run_match(tmp_path, scan_a, scan_b, *extra):

@@ -26,7 +26,7 @@ from graffassoc import (
     make_loop_pair,
     rotation_about_axis,
 )
-from graffassoc.scan_io import _unit, _vector, scan_from_dict, scan_to_dict
+from graffassoc.scan_io import ScanFormatError, _unit, _vector, scan_from_dict, scan_to_dict
 
 
 def reference_from_affine(A, b):
@@ -92,9 +92,6 @@ def assert_identical(doc):
         assert same_bytes(el.b0, ref.b0), index
     for name in ("kinds", "b0", "rep"):
         assert same_bytes(getattr(loaded, name), getattr(reference, name)), name
-    assert len(loaded.groups) == len(reference.groups)
-    for (idx, A), (ref_idx, ref_A) in zip(loaded.groups, reference.groups):
-        assert same_bytes(idx, ref_idx) and same_bytes(A, ref_A)
     assert (loaded.centroids is None) == (reference.centroids is None)
     if loaded.centroids is not None:
         assert same_bytes(loaded.centroids, reference.centroids)
@@ -187,6 +184,59 @@ class TestStackedLoader:
             entry["centroid"] = [float(index), 0.5, -1.0]
         loaded, _ = assert_identical(document(objects))
         assert loaded.kinds.tolist() == [1, 2, 1]
+
+
+class TestNumberFields:
+    """Coordinates and offsets must be JSON numbers of a size whose squares stay finite."""
+
+    def rejected(self, entry):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # no overflow warning on the way to the error
+            with pytest.raises(ScanFormatError) as err:
+                scan_from_dict(document([entry]))
+        return str(err.value)
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (plane(["0", "0", "1"], 1.5), "objects[0].plane.normal must contain numbers only"),
+            (plane([0, 0, 1], "1.5"), "objects[0].plane.d must be a number"),
+            (line([0, 0, 1], [0, "2", 0]), "objects[0].line.point must contain numbers only"),
+            ({**line([0, 0, 1], [0, 0, 0]), "centroid": ["1e3", 0, 0]}, "objects[0].centroid must contain numbers only"),
+        ],
+        ids=["normal", "d", "point", "centroid"],
+    )
+    def test_numeric_strings_rejected(self, entry, message):
+        assert self.rejected(entry) == f"<scan>: {message}"
+
+    @pytest.mark.parametrize(
+        "entry, field",
+        [
+            (line([0, 0, 1], [1e308] * 3), "objects[0].line.point"),
+            (line([0, 0, 1], [0, -2e150, 0]), "objects[0].line.point"),
+            (line([10**400, 0, 0], [0, 0, 0]), "objects[0].line.direction"),
+            (plane([0, 0, 1], 1e308), "objects[0].plane.d"),
+            (plane([0, 0, 1], -(10**200)), "objects[0].plane.d"),
+            ({**plane([0, 0, 1], 1.0), "centroid": [0, 0, 1e200]}, "objects[0].centroid"),
+        ],
+        ids=["point-1e308", "point-2e150", "direction-huge-int", "d-1e308", "d-huge-int", "centroid"],
+    )
+    def test_coordinates_whose_squares_overflow_rejected(self, entry, field):
+        assert self.rejected(entry) == f"<scan>: {field} must not exceed 1e+150 in magnitude"
+
+    def test_largest_accepted_coordinates_give_finite_distances(self):
+        from graffassoc import internal_distance_matrix
+
+        doc = document([line([0, 0, 1], [1e150, -1e150, 0]), line([1, 0, 0], [0, 1e150, -1e150]), plane([0.6, 0.8, 0], -1e150)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            scan = scan_from_dict(doc)
+            D = internal_distance_matrix(scan, 40.0)
+        assert np.isfinite(D).all()
+
+    def test_integers_and_floats_accepted(self):
+        loaded, _ = assert_identical(document([line([0, 0, 1], [1, 2, 3]), plane([0, 1, 0], 2)]))
+        assert loaded.b0.tolist() == [[1.0, 2.0, 0.0], [0.0, 2.0, 0.0]]
 
 
 class TestSingleObjectConstructors:
