@@ -8,7 +8,6 @@ relative rigid transform is recovered in closed form.
 
 from .clique_solver import (
     Selection,
-    SolverParams,
     binarize_constraints,
     brute_force_densest,
     solve_densest,

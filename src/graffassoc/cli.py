@@ -16,12 +16,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from pathlib import Path
 
 from .consistency import ConsistencyParams, DistanceFn
-from .graff_core import shifted_graff_distance, shifted_principal_angles
+from .graff_core import shifted_principal_angles
 from .pipeline import associate_scans
 from .registration import rotation_to_quaternion
 from .scan_io import ScanFormatError, load_scan
@@ -154,7 +155,7 @@ def _cmd_distance(args) -> int:
     el1 = scan.objects[args.index_a]
     el2 = scan.objects[args.index_b]
     angles = shifted_principal_angles(el1, el2, args.rho)
-    distance = shifted_graff_distance(el1, el2, args.rho)
+    distance = math.sqrt(angles @ angles)
     sys.stdout.write(f"distance_rad {_fmt(distance)}\n")
     sys.stdout.write("principal_angles_rad " + " ".join(_fmt(a) for a in angles) + "\n")
     return _EXIT_OK

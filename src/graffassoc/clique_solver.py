@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SolverParams",
     "Selection",
     "binarize_constraints",
     "solve_densest",
@@ -30,42 +29,15 @@ __all__ = [
 
 BRUTE_FORCE_LIMIT = 20
 
-_POWER_ITERATIONS = 100  # cap; the power init stops once a step moves u by less than tol
+_POWER_ITERATIONS = 100  # cap; the power init stops once a step moves u by less than _TOL
+_MAX_ITERATIONS = 150  # gradient steps per penalty stage
+_TOL = 1e-8  # convergence threshold on iterate change
+_INITIAL_PENALTY = 0.25
+_PENALTY_GROWTH = 1.6
 _VALIDATE_ROWS = 64  # validation temporaries stay _VALIDATE_ROWS x m, not m x m
 
 
 ROUNDING_RULES = ("greedy_density", "mass_capped")
-
-
-@dataclass(frozen=True)
-class SolverParams:
-    """Solver configuration.
-
-    Rounding rules: "greedy_density" chases the raw density objective
-    (multi-start rounding plus local refinement); "mass_capped" rounds the
-    u-ordered greedy prefix capped at the relaxation's mass estimate u'Mu,
-    which suppresses weakly-attached vertices.  The latter suits
-    correspondence selection, where a weak hanger-on can raise density yet
-    is far likelier spurious than the core set.
-    """
-
-    max_iterations: int = 150      # gradient steps per penalty stage
-    tol: float = 1e-8              # convergence threshold on iterate change
-    penalty_growth: float = 1.6
-    initial_penalty: float = 0.25
-    rounding: str = "greedy_density"
-
-    def __post_init__(self):
-        if not self.max_iterations > 0:  # negated, so NaN is rejected too
-            raise ValueError("max_iterations must be positive")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if not self.penalty_growth > 1.0:
-            raise ValueError("penalty_growth must exceed 1")
-        if not self.initial_penalty > 0:
-            raise ValueError("initial_penalty must be positive")
-        if self.rounding not in ROUNDING_RULES:
-            raise ValueError(f"unknown rounding rule {self.rounding!r}")
 
 
 @dataclass(frozen=True)
@@ -112,7 +84,7 @@ def _binary_density(M: np.ndarray, indices) -> float:
     return float(sub.sum() / len(idx))
 
 
-def _power_init(M: np.ndarray, tol: float) -> np.ndarray:
+def _power_init(M: np.ndarray) -> np.ndarray:
     m = M.shape[0]
     u = np.full(m, 1.0 / np.sqrt(m))
     for _ in range(_POWER_ITERATIONS):
@@ -122,7 +94,7 @@ def _power_init(M: np.ndarray, tol: float) -> np.ndarray:
             break
         v /= norm
         d = v - u
-        if math.sqrt(d @ d) < tol:
+        if math.sqrt(d @ d) < _TOL:
             return v
         u = v
     return u
@@ -144,7 +116,7 @@ def _certified(v: np.ndarray, ref, radius: float) -> bool:
     return d is not None and math.sqrt(d @ d) <= radius
 
 
-def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, params: SolverParams):
+def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g):
     """Projected gradient ascent of u'(Md)u on the nonnegative unit sphere.
 
     Trials max(u + s*g, 0) lie inside W = supp(u) | {g > 0}: they are scored on
@@ -164,7 +136,7 @@ def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, 
     outside = np.count_nonzero(g > 0.0) > np.count_nonzero(gC > 0.0)  # W leaves C
     ref, radius, f = None, 0.0, None
     moved = stale = False
-    for _ in range(params.max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         if outside or 2 * np.count_nonzero((uC > 0.0) | (gC > 0.0)) < C.size:
             if moved:  # before the first step u is the caller's array
                 u = np.zeros(m)
@@ -202,7 +174,7 @@ def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, 
             slack = np.divide(-g, lip, out=np.zeros(m), where=lip > 0.0)
             ref, radius = v, float(np.delete(slack, C).min()) - 4.0 * C.size * np.finfo(float).eps
         f, alpha = fv, step * 2.0
-        if math.sqrt(d @ d) < params.tol:
+        if math.sqrt(d @ d) < _TOL:
             break
     if moved:
         u = np.zeros(m)
@@ -309,30 +281,39 @@ def _round(u: np.ndarray, M: np.ndarray, edges: np.ndarray, rounding: str) -> tu
     return best[1]
 
 
-def solve_densest(M: np.ndarray, params: SolverParams = SolverParams()) -> Selection:
+def solve_densest(M: np.ndarray, rounding: str = "greedy_density") -> Selection:
     """Approximately solve the densest-subset problem on an affinity matrix.
 
     Deterministic: initialization is a power iteration from the all-ones
-    vector, stopped at `params.tol`, and every tie is broken by index order.
+    vector, stopped at `_TOL`, and every tie is broken by index order.
+
+    Rounding rules: "greedy_density" chases the raw density objective
+    (multi-start rounding plus local refinement); "mass_capped" rounds the
+    u-ordered greedy prefix capped at the relaxation's mass estimate u'Mu,
+    which suppresses weakly-attached vertices.  The latter suits
+    correspondence selection, where a weak hanger-on can raise density yet
+    is far likelier spurious than the core set.
     """
+    if rounding not in ROUNDING_RULES:
+        raise ValueError(f"unknown rounding rule {rounding!r}")
     M = _validate_affinity(M)
     m = M.shape[0]
     if m == 0:
         return Selection((), np.zeros(0), 0.0)
     edges = binarize_constraints(M)
-    u = _power_init(M, params.tol)
+    u = _power_init(M)
     g = None
-    penalty = params.initial_penalty
+    penalty = _INITIAL_PENALTY
     while penalty <= m + 1.0:
-        u, g, moved = _ascend(M, edges, penalty, u, g, params)
+        u, g, moved = _ascend(M, edges, penalty, u, g)
         # Exact early exit: with no non-edge inside W = supp(u) | {g > 0}, g on W
         # is penalty-free and off W only falls, so later stages would repeat
         # this stage's rejected trials and return u unchanged.
         W = np.flatnonzero((u > 0.0) | (g > 0.0))
         if not moved and edges[np.ix_(W, W)].all():
             break
-        penalty *= params.penalty_growth
-    indices = _round(u, M, edges, params.rounding)
+        penalty *= _PENALTY_GROWTH
+    indices = _round(u, M, edges, rounding)
     return Selection(indices, u, _binary_density(M, indices))
 
 

@@ -181,12 +181,19 @@ def unique_matches(
     return tuple(sorted(kept))
 
 
+def _rep_sin_cos(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cross products r x r' (n x n x 3), |r x r'| and |r . r'| of every pair
+    of rows of r; |r x r| is exactly 0."""
+    n = len(r)
+    cross = _cross(np.repeat(r, n, axis=0), np.tile(r, (n, 1))).reshape(n, n, 3)
+    return cross, np.sqrt(np.einsum("xya,xya->xy", cross, cross)), np.abs(r @ r.T)
+
+
 def _pair_geometry(scan: Scan) -> tuple[np.ndarray, np.ndarray]:
     """Direction angle and minimal separation of every object pair (n x n
     each, exactly 0 on the diagonal), by the closed forms of the module doc."""
     r, line, n = scan.rep, scan.kinds == 1, len(scan)
-    cross = _cross(np.repeat(r, n, axis=0), np.tile(r, (n, 1))).reshape(n, n, 3)
-    sin, cos = np.sqrt(np.einsum("xya,xya->xy", cross, cross)), np.abs(r @ r.T)
+    cross, sin, cos = _rep_sin_cos(r)
     mixed = line[:, None] != line[None, :]
     sin, cos = np.where(mixed, cos, sin), np.where(mixed, sin, cos)
     parallel, lines = sin <= _PARALLEL_SIN, line[:, None] & line[None, :]
@@ -220,10 +227,10 @@ def _gr_distance_matrix(scan: Scan) -> np.ndarray:
 
 def _rep_vector_angle_matrix(scan: Scan) -> np.ndarray:
     """Angle between single representative vectors: a line's direction, a
-    plane's normal.  The naive direction/normal dot-product baseline."""
-    D = np.arccos(np.clip(np.abs(scan.rep @ scan.rep.T), 0.0, 1.0))
-    np.fill_diagonal(D, 0.0)
-    return D
+    plane's normal (for a line and a plane, the complement of `_pair_geometry`'s
+    angle).  The naive direction/normal dot-product baseline."""
+    _, sin, cos = _rep_sin_cos(scan.rep)
+    return np.arctan2(sin, cos)
 
 
 def _centroid_distance_matrix(scan: Scan) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clique_solver import SolverParams, solve_densest
+from .clique_solver import solve_densest
 from .consistency import (
     ConsistencyParams,
     DistanceFn,
@@ -38,16 +38,12 @@ __all__ = [
     "match_residuals",
     "MAX_ANGLE_RESIDUAL_RAD",
     "MAX_OFFSET_RESIDUAL_M",
-    "PIPELINE_SOLVER",
 ]
 
 # Self-consistency gates: a match disagreeing with the estimated transform
 # by more than these is not an inlier (half the usual verification budget).
 MAX_ANGLE_RESIDUAL_RAD = float(np.radians(2.0))
 MAX_OFFSET_RESIDUAL_M = 0.5
-
-# Correspondence selection favors purity over raw density; see SolverParams.
-PIPELINE_SOLVER = SolverParams(rounding="mass_capped")
 
 
 @dataclass(frozen=True)
@@ -104,10 +100,10 @@ def associate_scans(
     scan_j: Scan,
     params: ConsistencyParams = ConsistencyParams(),
     distance_fn: DistanceFn = DistanceFn.GRAFF_SHIFTED,
-    solver: SolverParams = PIPELINE_SOLVER,
 ) -> Association:
     M, candidates = build_affinity(scan_i, scan_j, params, distance_fn)
-    selection = solve_densest(M, solver)
+    # Correspondence selection favors purity over raw density; see solve_densest.
+    selection = solve_densest(M, rounding="mass_capped")
     chosen = tuple(
         (c.a, c.b) for c in unique_matches(candidates, selection.indices, selection.u)
     )

@@ -89,12 +89,13 @@ class VerifyThresholds:
     max_trans_m: float = 1.0
 
 
-def _kabsch(H: np.ndarray) -> np.ndarray:
-    """Rotation maximizing tr(R H) for H = sum of source x target outer products."""
-    U, _, Vt = np.linalg.svd(H)
+def _kabsch(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rotation maximizing tr(R H) for H = sum of source x target outer
+    products, and the singular values of H."""
+    U, sv, Vt = np.linalg.svd(H)
     V = Vt.T
     D = np.diag([1.0, 1.0, float(np.sign(np.linalg.det(V @ U.T)) or 1.0)])
-    return V @ D @ U.T
+    return V @ D @ U.T, sv
 
 
 def estimate_transform(matches: MatchSet) -> RigidTransform:
@@ -122,10 +123,9 @@ def estimate_transform(matches: MatchSet) -> RigidTransform:
 
     A = np.concatenate([proj.reshape(-1, 3), n])
     b = np.concatenate([line_rhs.reshape(-1), plane_rhs])
-    sv = np.linalg.svd(A, compute_uv=False)
+    t, _, _, sv = np.linalg.lstsq(A, b, rcond=None)
     if sv.size < 3 or sv[2] <= _RANK_RTOL * sv[0]:
         raise DegenerateConfigurationError("translation is not fully constrained by these matches")
-    t, *_ = np.linalg.lstsq(A, b, rcond=None)
     return RigidTransform(R, t)
 
 
@@ -146,17 +146,15 @@ def _resolve_rotation(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndar
     for s1 in (1.0, -1.0):
         for s2 in (1.0, -1.0):
             H_seed = np.outer(X[i], s1 * Y[i]) + np.outer(X[j], s2 * Y[j])
-            R_seed = _kabsch(H_seed)
+            R_seed, _ = _kabsch(H_seed)
             agreement = np.einsum("na,na->n", Y, X @ R_seed.T)
             signs = np.where(agreement >= 0.0, 1.0, -1.0)
             signs[i], signs[j] = s1, s2
-            H = X.T @ (Y * signs[:, None])
-            R = _kabsch(H)
+            R, sv = _kabsch(X.T @ (Y * signs[:, None]))
             residual = float(np.sum(2.0 - 2.0 * signs * np.einsum("na,na->n", Y, X @ R.T)))
             if best is None or residual < best[0] - 1e-15:
-                best = (residual, R, signs, H)
-    _, R, signs, H = best
-    sv = np.linalg.svd(H, compute_uv=False)
+                best = (residual, R, signs, sv)
+    _, R, signs, sv = best
     if sv[1] <= _RANK_RTOL * max(sv[0], 1e-300):
         raise DegenerateConfigurationError("rotation is not fully constrained: directions are all parallel")
     return R, signs

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clique_solver import SolverParams
 from .consistency import ConsistencyParams, DistanceFn, Scan
 from .graff_core import (
     GraffElement,
@@ -26,8 +25,8 @@ from .graff_core import (
     from_pd,
     rotation_about_axis,
 )
-from .pipeline import PIPELINE_SOLVER, associate_scans
-from .registration import AlignmentError, VerifyThresholds, alignment_error, verify
+from .pipeline import associate_scans
+from .registration import AlignmentError, alignment_error, verify
 
 __all__ = [
     "SceneConfig",
@@ -58,38 +57,33 @@ _UNIT_CUBE_MEAN_DISTANCE = 0.6617071822
 
 _STRUCTURED_FRACTION = 0.8       # objects with urban-biased orientation
 _ORIENTATION_CONE_RAD = np.radians(10.0)
+_YAW_RANGE_RAD = np.pi           # loop-pair yaw is uniform in +-_YAW_RANGE_RAD,
+_TILT_RANGE_RAD = np.radians(5.0)  # pitch and roll in +-_TILT_RANGE_RAD
 
 
 @dataclass(frozen=True)
 class SceneConfig:
     n_lines: int = 7
     n_planes: int = 23
-    extent: float | None = None        # cube side; derived from target_mean if None
     target_mean: float = 27.0          # target mean pairwise object distance, meters
-    target_std: float = 16.0
     centroid_extent: float = 5.0       # span of on-object centroid sampling
     seed: int = 0
 
     def __post_init__(self):
         if self.n_lines < 0 or self.n_planes < 0:
             raise ValueError("object counts must be nonnegative")
-        if self.extent is not None and self.extent <= 0:
-            raise ValueError("extent must be positive")
         if self.target_mean <= 0:
             raise ValueError("target_mean must be positive")
 
     @property
     def effective_extent(self) -> float:
-        if self.extent is not None:
-            return self.extent
+        """Cube side that puts the mean pairwise anchor distance at target_mean."""
         return self.target_mean / _UNIT_CUBE_MEAN_DISTANCE
 
 
 @dataclass(frozen=True)
 class PairConfig:
     baseline_m: float = 0.0
-    yaw_range_rad: float = np.pi
-    tilt_range_rad: float = np.radians(5.0)
     overlap: float = 1.0
     clutter: int = 0
     noise_dir_rad: float = 0.0
@@ -178,9 +172,9 @@ def generate_scene(cfg: SceneConfig) -> Scan:
 
 
 def _sample_truth(rng: np.random.Generator, pcfg: PairConfig) -> RigidTransform:
-    yaw = rng.uniform(-pcfg.yaw_range_rad, pcfg.yaw_range_rad)
-    pitch = rng.uniform(-pcfg.tilt_range_rad, pcfg.tilt_range_rad)
-    roll = rng.uniform(-pcfg.tilt_range_rad, pcfg.tilt_range_rad)
+    yaw = rng.uniform(-_YAW_RANGE_RAD, _YAW_RANGE_RAD)
+    pitch = rng.uniform(-_TILT_RANGE_RAD, _TILT_RANGE_RAD)
+    roll = rng.uniform(-_TILT_RANGE_RAD, _TILT_RANGE_RAD)
     R = (
         rotation_about_axis([0.0, 0.0, 1.0], yaw)
         @ rotation_about_axis([0.0, 1.0, 0.0], pitch)
@@ -262,20 +256,18 @@ def run_trial(
     pair: LoopPair,
     params: ConsistencyParams = ConsistencyParams(),
     distance_fn: DistanceFn = DistanceFn.GRAFF_SHIFTED,
-    solver: SolverParams = PIPELINE_SOLVER,
-    thresholds: VerifyThresholds = VerifyThresholds(),
 ) -> TrialResult:
     """Full pipeline on one loop pair: affinity, selection, registration,
     verification against the recorded ground truth."""
     start = time.perf_counter()
-    assoc = associate_scans(pair.scan_i, pair.scan_j, params, distance_fn, solver)
+    assoc = associate_scans(pair.scan_i, pair.scan_j, params, distance_fn)
     truth_set = set(pair.truth_pairs)
     n_true = sum(1 for c in assoc.matches if c in truth_set)
     precision = n_true / len(assoc.matches) if assoc.matches else 0.0
     recall = n_true / len(truth_set) if truth_set else 0.0
     failed = assoc.transform is None
     error = None if failed else alignment_error(assoc.transform, pair.truth)
-    accept = False if failed else verify(assoc.transform, pair.truth, thresholds)
+    accept = False if failed else verify(assoc.transform, pair.truth)
     return TrialResult(
         n_candidates=assoc.n_candidates,
         selected=assoc.matches,

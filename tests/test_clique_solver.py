@@ -7,7 +7,6 @@ from graffassoc import (
     PairConfig,
     SceneConfig,
     Selection,
-    SolverParams,
     binarize_constraints,
     brute_force_densest,
     build_affinity,
@@ -16,7 +15,17 @@ from graffassoc import (
     solve_densest,
 )
 from graffassoc import clique_solver
-from graffassoc.clique_solver import _POWER_ITERATIONS, ROUNDING_RULES, _binary_density, _power_init, _round
+from graffassoc.clique_solver import (
+    _INITIAL_PENALTY,
+    _MAX_ITERATIONS,
+    _PENALTY_GROWTH,
+    _POWER_ITERATIONS,
+    _TOL,
+    ROUNDING_RULES,
+    _binary_density,
+    _power_init,
+    _round,
+)
 
 
 def planted_matrix(rng, m, block, background=0.3, edge_prob=0.5):
@@ -240,29 +249,14 @@ class TestSolveDensest:
         rng = np.random.default_rng(12)
         block = [1, 4, 6, 10, 13]
         M = planted_matrix(rng, 15, block)
-        sel = solve_densest(M, SolverParams(rounding="mass_capped"))
+        sel = solve_densest(M, rounding="mass_capped")
         assert sel.indices == tuple(block)
 
     def test_params_validated(self):
-        with pytest.raises(ValueError):
-            SolverParams(max_iterations=0)
-        with pytest.raises(ValueError):
-            SolverParams(penalty_growth=1.0)
-        with pytest.raises(ValueError):
-            SolverParams(rounding="magic")
-
-    @pytest.mark.parametrize(
-        "name, message",
-        [
-            ("max_iterations", "max_iterations must be positive"),
-            ("tol", "tol must be positive"),
-            ("penalty_growth", "penalty_growth must exceed 1"),
-            ("initial_penalty", "initial_penalty must be positive"),
-        ],
-    )
-    def test_nan_params_rejected(self, name, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            SolverParams(**{name: float("nan")})
+        # Checked before the affinity: a non-square one would raise its own error.
+        for M in (np.eye(3), np.zeros((2, 3))):
+            with pytest.raises(ValueError, match="^unknown rounding rule 'magic'$"):
+                solve_densest(M, rounding="magic")
 
     def test_selection_type(self):
         sel = solve_densest(np.eye(3))
@@ -273,12 +267,12 @@ class TestSolveDensest:
 # Reference relaxation: every stage ascends on the full penalized matrix
 # M - penalty * violations, up to penalty m + 1.  `early_exit` adds the
 # solver's exit rule on top of the same dense step.
-def dense_ascend(Md, u, params):
+def dense_ascend(Md, u):
     g = Md @ u
     f = float(u @ g)
     alpha = 1.0 / max(1.0, abs(f))
     moved = False
-    for _ in range(params.max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         improved = False
         step = alpha
         for _ in range(40):
@@ -298,31 +292,31 @@ def dense_ascend(Md, u, params):
         delta = float(np.linalg.norm(v - u))
         u, g, f = v, gv, fv
         alpha = step * 2.0
-        if delta < params.tol:
+        if delta < _TOL:
             break
     return u, g, moved
 
 
-def dense_relaxation(M, params=SolverParams(), early_exit=False):
+def dense_relaxation(M, early_exit=False):
     m = M.shape[0]
     edges = binarize_constraints(M)
     violations = (~edges).astype(float)
-    u = _power_init(M, params.tol)
-    penalty = params.initial_penalty
+    u = _power_init(M)
+    penalty = _INITIAL_PENALTY
     stages = 0
     while penalty <= m + 1.0:
-        u, g, moved = dense_ascend(M - penalty * violations, u, params)
+        u, g, moved = dense_ascend(M - penalty * violations, u)
         stages += 1
         W = (u > 0.0) | (g > 0.0)
         if early_exit and not moved and edges[np.ix_(W, W)].all():
             break
-        penalty *= params.penalty_growth
+        penalty *= _PENALTY_GROWTH
     return u, stages
 
 
-def reference_solve(M, params):
-    u, _ = dense_relaxation(M, params)
-    indices = _round(u, M, binarize_constraints(M), params.rounding)
+def reference_solve(M, rounding):
+    u, _ = dense_relaxation(M)
+    indices = _round(u, M, binarize_constraints(M), rounding)
     return Selection(indices, u, _binary_density(M, indices))
 
 
@@ -356,33 +350,31 @@ class TestWorkingSetParity:
 
     @pytest.mark.parametrize("rounding", ROUNDING_RULES)
     def test_matches_dense_relaxation(self, instances, rounding):
-        params = SolverParams(rounding=rounding)
         for name, M in instances:
-            sel = solve_densest(M, params)
-            ref = reference_solve(M, params)
+            sel = solve_densest(M, rounding=rounding)
+            ref = reference_solve(M, rounding)
             assert sel.indices == ref.indices, name
             assert sel.objective == ref.objective, name
             assert np.max(np.abs(sel.u - ref.u)) <= U_TOLERANCE, name
 
     def test_solver_stops_at_a_fixed_point(self, instances, monkeypatch):
         # Every stage the solver skips would return its final u unchanged.
-        params = SolverParams()
         stages = []
         ascend = clique_solver._ascend
 
-        def recording(M, edges, penalty, u, g, params):
-            stages.append((penalty, *ascend(M, edges, penalty, u, g, params)))
+        def recording(M, edges, penalty, u, g):
+            stages.append((penalty, *ascend(M, edges, penalty, u, g)))
             return stages[-1][1:]
 
         monkeypatch.setattr(clique_solver, "_ascend", recording)
         skipped = 0
         for name, M in instances:
             stages.clear()
-            solve_densest(M, params)
+            solve_densest(M)
             penalty, u, g, _ = stages[-1]
             edges = binarize_constraints(M)
-            while (penalty := penalty * params.penalty_growth) <= M.shape[0] + 1.0:
-                u_next, g, moved = ascend(M, edges, penalty, u, g, params)
+            while (penalty := penalty * _PENALTY_GROWTH) <= M.shape[0] + 1.0:
+                u_next, g, moved = ascend(M, edges, penalty, u, g)
                 assert not moved and np.array_equal(u_next, u), name
                 skipped += 1
         assert skipped >= len(instances)
@@ -399,13 +391,13 @@ class TestWorkingSetParity:
 
 # The ascent before the certified refresh: the full-length gradient
 # v @ Md[C, :] is recomputed after every accepted step.
-def every_step_ascend(M, edges, penalty, u, g, params):
+def every_step_ascend(M, edges, penalty, u, g):
     m = u.shape[0]
     C, rows, block, _ = clique_solver._penalized_rows(M, edges, penalty, np.flatnonzero((u > 0.0) | (g is None or g > 0.0)))
     g = u[C] @ rows
     f = None
     moved = False
-    for _ in range(params.max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         W = np.flatnonzero((u > 0.0) | (g > 0.0))
         if 2 * W.size < C.size or not (np.take(C, np.searchsorted(C, W), mode="clip") == W).all():
             C, rows, block, _ = clique_solver._penalized_rows(M, edges, penalty, W)
@@ -430,7 +422,7 @@ def every_step_ascend(M, edges, penalty, u, g, params):
         u = np.zeros(m)
         u[C] = v
         g, f, alpha = (gv if rows is block else v @ rows), fv, step * 2.0
-        if float(np.linalg.norm(v - uC)) < params.tol:
+        if float(np.linalg.norm(v - uC)) < _TOL:
             break
     return u, g, moved
 
@@ -452,12 +444,11 @@ class TestCertifiedRefresh:
 
     def test_matches_every_step_refresh(self, instances, monkeypatch):
         assert [500 <= M.shape[0] <= 1000 for _, M in instances[-2:]] == [True, True]
-        params = SolverParams()
         for name, M in instances:
-            sel = solve_densest(M, params)
+            sel = solve_densest(M)
             with monkeypatch.context() as patch:
                 patch.setattr(clique_solver, "_ascend", every_step_ascend)
-                ref = solve_densest(M, params)
+                ref = solve_densest(M)
             assert sel.indices == ref.indices, name
             assert sel.objective == ref.objective, name
             assert np.max(np.abs(sel.u - ref.u)) <= U_TOLERANCE, name
@@ -471,8 +462,8 @@ class TestCertifiedRefresh:
             built[:] = [penalized_rows(M, edges, penalty, W)]
             return built[0]
 
-        def recording_ascend(M, edges, penalty, u, g, params):
-            u, g, moved = ascend(M, edges, penalty, u, g, params)
+        def recording_ascend(M, edges, penalty, u, g):
+            u, g, moved = ascend(M, edges, penalty, u, g)
             stages.append((M, edges, penalty, built[0][0], u, g))
             return u, g, moved
 
@@ -516,13 +507,13 @@ class TestCertifiedRefresh:
 # The ascent before it kept u and g on the working set: full-length u and g
 # after every accepted step, W and the W-in-C test over all m entries, and
 # norms through np.linalg.norm.
-def full_length_ascend(M, edges, penalty, u, g, params):
+def full_length_ascend(M, edges, penalty, u, g):
     m = u.shape[0]
     C, rows, block, lip = clique_solver._penalized_rows(M, edges, penalty, np.flatnonzero((u > 0.0) | (g is None or g > 0.0)))
     g = u[C] @ rows
     ref, radius, f = None, 0.0, None
     moved = stale = False
-    for _ in range(params.max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         W = np.flatnonzero((u > 0.0) | (g > 0.0))
         if 2 * W.size < C.size or not (np.take(C, np.searchsorted(C, W), mode="clip") == W).all():
             rows = block = lip = ref = None
@@ -555,7 +546,7 @@ def full_length_ascend(M, edges, penalty, u, g, params):
             slack = np.divide(-g, lip, out=np.zeros(m), where=lip > 0.0)
             ref, radius = v, float(np.delete(slack, C).min()) - 4.0 * C.size * np.finfo(float).eps
         f, alpha = fv, step * 2.0
-        if float(np.linalg.norm(v - uC)) < params.tol:
+        if float(np.linalg.norm(v - uC)) < _TOL:
             break
     if stale:
         g = u[C] @ rows
@@ -567,9 +558,9 @@ class TestWorkingSetArrays:
         ascend = clique_solver._ascend
         stages = []
 
-        def checking(M, edges, penalty, u, g, params):
-            ref = full_length_ascend(M, edges, penalty, u.copy(), None if g is None else g.copy(), params)
-            out = ascend(M, edges, penalty, u, g, params)
+        def checking(M, edges, penalty, u, g):
+            ref = full_length_ascend(M, edges, penalty, u.copy(), None if g is None else g.copy())
+            out = ascend(M, edges, penalty, u, g)
             stages.append(out[2] == ref[2] and all(a.tobytes() == b.tobytes() for a, b in zip(out[:2], ref[:2])))
             return out
 
@@ -581,7 +572,7 @@ class TestWorkingSetArrays:
         assert len(stages) > 300
 
 
-def fixed_power_init(M, tol):
+def fixed_power_init(M):
     """The init before the tol stop: always _POWER_ITERATIONS steps."""
     u = np.full(M.shape[0], 1.0 / np.sqrt(M.shape[0]))
     for _ in range(_POWER_ITERATIONS):
@@ -623,12 +614,11 @@ def counted_matvecs(M):
 class TestConvergedPowerInit:
     @pytest.mark.parametrize("rounding", ROUNDING_RULES)
     def test_keeps_selections(self, rounding, monkeypatch):
-        params = SolverParams(rounding=rounding)
         for name, M in [*parity_instances(), *criterion_4_planted()]:
-            sel = solve_densest(M, params)
+            sel = solve_densest(M, rounding=rounding)
             with monkeypatch.context() as patch:
                 patch.setattr(clique_solver, "_power_init", fixed_power_init)
-                ref = solve_densest(M, params)
+                ref = solve_densest(M, rounding=rounding)
             assert sel.indices == ref.indices, name
             assert sel.objective == ref.objective, name
 
@@ -636,17 +626,17 @@ class TestConvergedPowerInit:
         for name, M in parity_instances():
             if name.startswith("scan-"):
                 counted, counter = counted_matvecs(M)
-                _power_init(counted, SolverParams().tol)
+                _power_init(counted)
                 assert counter.calls < _POWER_ITERATIONS, name
 
     def test_single_candidate(self):
         counted, counter = counted_matvecs(np.ones((1, 1)))
-        assert np.array_equal(_power_init(counted, 1e-8), [1.0])
+        assert np.array_equal(_power_init(counted), [1.0])
         assert counter.calls == 1
 
     def test_identity_stops_at_once(self):
         counted, counter = counted_matvecs(np.eye(7))
-        assert np.allclose(_power_init(counted, 1e-8), 1.0 / np.sqrt(7), rtol=0.0, atol=1e-15)
+        assert np.allclose(_power_init(counted), 1.0 / np.sqrt(7), rtol=0.0, atol=1e-15)
         assert counter.calls == 1
 
     def test_disconnected_blocks(self):
@@ -657,7 +647,7 @@ class TestConvergedPowerInit:
         M[:3, :3] = 0.9
         np.fill_diagonal(M, 1.0)
         counted, counter = counted_matvecs(M)
-        u = _power_init(counted, 1e-8)
+        u = _power_init(counted)
         assert 10 < counter.calls < _POWER_ITERATIONS
-        assert np.max(np.abs(u - fixed_power_init(M, 1e-8))) <= 1e-7
+        assert np.max(np.abs(u - fixed_power_init(M))) <= 1e-7
         assert solve_densest(M).indices == (3, 4, 5, 6, 7)

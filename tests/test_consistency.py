@@ -19,6 +19,8 @@ from graffassoc import (
     grassmann_distance,
     internal_distance_matrix,
     shifted_graff_distance,
+    to_hesse,
+    to_pd,
     weight,
 )
 from graffassoc import consistency
@@ -223,6 +225,42 @@ class TestInternalDistanceMatrix:
         assert np.allclose(D, D.T)
         assert np.allclose(np.diag(D), 0.0)
         assert np.all((D >= 0) & (D <= np.pi / 2 + 1e-12))
+
+        # Oracle: arccos of the per-object direction or normal.
+        scan = make_scan(rng, 8, 8)
+        reps = [to_pd(el).a if el.k == 1 else to_hesse(el).n for el in scan.objects]
+        oracle = np.array([[np.arccos(min(abs(float(r @ s)), 1.0)) for s in reps] for r in reps])
+        np.fill_diagonal(oracle, 0.0)
+        assert np.max(np.abs(_rep_vector_angle_matrix(scan) - oracle)) <= 1e-12
+
+        # Representatives equal up to sign: exactly 0.
+        d = np.array([0.1, 0.2, 0.7])  # r . r rounds below 1 here, where arccos reads 2.6e-8
+        n = d / np.linalg.norm(d)
+        objects = (
+            from_pd(LinePD(d, [1.0, 2.0, 3.0])),
+            from_pd(LinePD(-d, [0.0, 5.0, -1.0])),
+            from_pd(LinePD(2.0 * d, [4.0, 0.0, 0.0])),
+            from_hesse(PlaneHesse(n, 2.0)),
+            from_hesse(PlaneHesse(-n, 7.0)),
+        )
+        scan = Scan("parallel", objects)
+        D = _rep_vector_angle_matrix(scan)
+        r = scan.rep
+        same = np.array([[np.array_equal(a, b) or np.array_equal(a, -b) for b in r] for a in r])
+        assert same[:3, :3].all()  # plane normals come out of a cross product
+        assert np.all(D[same] == 0.0)
+
+        # Unlike the Grassmann angle (line to plane), the baseline compares a
+        # line's direction with a plane's normal.
+        theta = 0.3
+        line = from_pd(LinePD([np.sin(theta), 0.0, np.cos(theta)], [0.0, 0.0, 0.0]))
+        across = from_pd(LinePD([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]))
+        floor = from_hesse(PlaneHesse([0.0, 0.0, 1.0], 1.0))
+        scan = Scan("mixed", (line, across, floor))
+        D = _rep_vector_angle_matrix(scan)
+        assert D[0, 2] == pytest.approx(theta, abs=1e-12)
+        assert D[1, 2] == pytest.approx(np.pi / 2, abs=1e-12)
+        assert _gr_distance_matrix(scan)[0, 2] == pytest.approx(np.pi / 2 - theta, abs=1e-12)
 
     def test_centroid_matrix_requires_metadata(self):
         rng = np.random.default_rng(10)

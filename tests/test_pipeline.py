@@ -28,7 +28,8 @@ from graffassoc import (
     verify,
 )
 from graffassoc.cli import main
-from graffassoc.pipeline import PIPELINE_SOLVER, _match_set
+from graffassoc import pipeline
+from graffassoc.pipeline import _match_set
 from graffassoc.scan_io import save_scan
 
 
@@ -203,9 +204,39 @@ def test_swapping_the_scans_permutes_affinity_and_selection(seed, fn):
     index = {cand: k for k, cand in enumerate(cands)}
     perm = np.array([index[b, a] for a, b in cands_swap])
     assert np.array_equal(M_swap.view(np.uint64), M[np.ix_(perm, perm)].view(np.uint64))
-    sel, sel_swap = solve_densest(M, PIPELINE_SOLVER), solve_densest(M_swap, PIPELINE_SOLVER)
+    sel, sel_swap = solve_densest(M, rounding="mass_capped"), solve_densest(M_swap, rounding="mass_capped")
     assert sorted(perm[list(sel_swap.indices)]) == sorted(sel.indices)
     assert abs(sel_swap.objective - sel.objective) <= 1e-12
+
+
+# (direction noise deg, offset noise m, clutter, overlap), the match_small ladder.
+LADDER = [(0.5 + 1.5 * f, 0.05 + 0.15 * f, int(round(3 + 11 * f)), 0.8 - 0.2 * f) for f in (0.0, 0.25, 0.5, 0.75, 1.0)]
+
+
+@pytest.mark.parametrize("rung", range(len(LADDER)))
+def test_pipeline_selects_with_mass_capped_rounding(rung, monkeypatch):
+    # The two rounding rules pick different sets on every rung, so the
+    # selection the pipeline reduces to one-to-one pins its rule.
+    noise_deg, noise_m, clutter, overlap = LADDER[rung]
+    pair = make_loop_pair(
+        generate_scene(SceneConfig(n_lines=4, n_planes=10, seed=rung)),
+        PairConfig(baseline_m=8.0, overlap=overlap, clutter=clutter, noise_dir_rad=np.radians(noise_deg),
+                   noise_disp_m=noise_m, seed=1000 + rung),
+    )
+    reduced = []
+    unique = pipeline.unique_matches
+
+    def recording(candidates, indices, scores):
+        reduced.append(indices)
+        return unique(candidates, indices, scores)
+
+    monkeypatch.setattr(pipeline, "unique_matches", recording)
+    assoc = associate_scans(pair.scan_i, pair.scan_j)
+    M, _ = build_affinity(pair.scan_i, pair.scan_j, ConsistencyParams())
+    capped, greedy = solve_densest(M, rounding="mass_capped"), solve_densest(M, rounding="greedy_density")
+    assert capped.indices != greedy.indices
+    assert reduced == [capped.indices]
+    assert assoc.objective == capped.objective
 
 
 def run_match(tmp_path, scan_a, scan_b, *extra):

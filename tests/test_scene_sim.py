@@ -66,8 +66,6 @@ class TestGenerateScene:
     def test_validation(self):
         with pytest.raises(ValueError):
             SceneConfig(n_lines=-1)
-        with pytest.raises(ValueError):
-            SceneConfig(extent=0.0)
 
 
 class TestMakeLoopPair:
