@@ -14,6 +14,7 @@ between reruns with identical seeds.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -21,8 +22,7 @@ import sys
 import time
 from pathlib import Path
 
-from .consistency import ConsistencyParams, DistanceFn
-from .graff_core import shifted_principal_angles
+from .consistency import ConsistencyParams, DistanceFn, Scan, _pair_geometry
 from .pipeline import associate_scans
 from .registration import rotation_to_quaternion
 from .scan_io import ScanFormatError, load_scan
@@ -143,7 +143,7 @@ def _cmd_match(args) -> int:
 def _cmd_distance(args) -> int:
     try:
         scan = load_scan(args.scan)
-        n = len(scan.objects)
+        n = len(scan)
         for name, idx in (("index_a", args.index_a), ("index_b", args.index_b)):
             if not 0 <= idx < n:
                 raise ValueError(f"{name}={idx} out of range for scan with {n} objects")
@@ -152,34 +152,27 @@ def _cmd_distance(args) -> int:
     except (ScanFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
-    el1 = scan.objects[args.index_a]
-    el2 = scan.objects[args.index_b]
-    angles = shifted_principal_angles(el1, el2, args.rho)
-    distance = math.sqrt(angles @ angles)
+    # The shifted principal angles: min(k_a, k_b) - 1 zeros (two planes share a
+    # direction), the direction angle and arctan(gap / rho), in ascending order.
+    pair = [args.index_a, args.index_b]
+    two = Scan(scan.id, scan.kinds[pair], scan.rep[pair], scan.b0[pair])
+    theta, gap = (float(D[0, 1]) for D in _pair_geometry(two))
+    th_aff = math.atan(gap / args.rho)
+    angles = sorted([0.0] * (int(scan.kinds[pair].min()) - 1) + [theta, th_aff])
+    distance = math.sqrt(theta * theta + th_aff * th_aff)
     sys.stdout.write(f"distance_rad {_fmt(distance)}\n")
     sys.stdout.write("principal_angles_rad " + " ".join(_fmt(a) for a in angles) + "\n")
     return _EXIT_OK
 
 
-_CONFIG_KEYS = {
-    "seed": int,
-    "trials": int,
-    "tiers": lambda s: tuple(part.strip() for part in s.split(",") if part.strip()),
-    "distance_fns": lambda s: tuple(part.strip() for part in s.split(",") if part.strip()),
-    "n_lines": int,
-    "n_planes": int,
-    "clutter": int,
-    "noise_dir_deg": float,
-    "noise_disp_m": float,
-    "overlap_easy": float,
-    "overlap_medium": float,
-    "overlap_hard": float,
-    "rho": float,
-    "epsilon": float,
-    "sigma": float,
-    "target_mean": float,
-    "centroid_extent": float,
-}
+# each campaign file value is parsed like its field's default; tuples are comma lists
+_CONFIG_DEFAULTS = {field.name: field.default for field in dataclasses.fields(CampaignConfig)}
+
+
+def _config_value(default, text: str):
+    if isinstance(default, tuple):
+        return tuple(part.strip() for part in text.split(",") if part.strip())
+    return type(default)(text)
 
 
 def parse_campaign_config(path) -> CampaignConfig:
@@ -195,10 +188,10 @@ def parse_campaign_config(path) -> CampaignConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG_DEFAULTS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = _CONFIG_KEYS[key](value)
+            values[key] = _config_value(_CONFIG_DEFAULTS[key], value)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from None
     return CampaignConfig(**values)
@@ -231,14 +224,8 @@ def _summary_doc(cfg: CampaignConfig, records: list[TrialRecord]) -> dict:
         fn_records = [rec for rec in records if rec.distance_fn is fn]
         tiers = {}
         for tier in cfg.tiers:
-            metrics = compute_metrics([rec.result for rec in fn_records if rec.tier == tier])
-            tiers[tier] = {
-                "n_trials": metrics.n_trials,
-                "n_accepted": metrics.n_accepted,
-                "recall_at_100_precision": metrics.recall_at_100_precision,
-                "median_rot_err_deg": metrics.median_rot_err_deg,
-                "median_trans_err_m": metrics.median_trans_err_m,
-            }
+            metrics = dataclasses.asdict(compute_metrics([rec.result for rec in fn_records if rec.tier == tier]))
+            tiers[tier] = {key: value for key, value in metrics.items() if not key.startswith("timing_")}
         overall = compute_metrics([rec.result for rec in fn_records])
         rows.append(
             {
@@ -249,24 +236,14 @@ def _summary_doc(cfg: CampaignConfig, records: list[TrialRecord]) -> dict:
                 "timing_std_s": overall.timing_std_s,
             }
         )
-    return {
-        "schema": 1,
-        "config": {
-            "seed": cfg.seed,
-            "trials": cfg.trials,
-            "tiers": list(cfg.tiers),
-            "distance_fns": [fn.value for fn in cfg.distance_fns],
-            "n_lines": cfg.n_lines,
-            "n_planes": cfg.n_planes,
-            "clutter": cfg.clutter,
-            "noise_dir_deg": cfg.noise_dir_deg,
-            "noise_disp_m": cfg.noise_disp_m,
-            "rho": cfg.rho,
-            "epsilon": cfg.epsilon,
-            "sigma": cfg.sigma,
-        },
-        "results": rows,
+    # the config as given, less the tier overlaps and the scene extents
+    config = {
+        key: value
+        for key, value in dataclasses.asdict(cfg).items()
+        if not key.startswith("overlap_") and key not in ("target_mean", "centroid_extent")
     }
+    config |= {"tiers": list(cfg.tiers), "distance_fns": [fn.value for fn in cfg.distance_fns]}
+    return {"schema": 1, "config": config, "results": rows}
 
 
 def _cmd_bench(args) -> int:
@@ -306,11 +283,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; fold into the input-error code
         return _EXIT_INPUT if exc.code else _EXIT_OK
-    if args.command == "match":
-        return _cmd_match(args)
-    if args.command == "distance":
-        return _cmd_distance(args)
-    return _cmd_bench(args)
+    return {"match": _cmd_match, "distance": _cmd_distance, "bench": _cmd_bench}[args.command](args)
 
 
 def run() -> None:

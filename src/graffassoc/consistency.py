@@ -8,26 +8,28 @@ with a Gaussian kernel of width sigma.  Every distance function builds its
 m x m affinity through one blockwise kernel, `_blockwise_affinity`, which
 holds no m x m temporary besides the affinity itself.
 
-Within a scan, each object has one direction or normal r (`Scan.rep`), so
-`_pair_geometry` needs no SVD.  The direction angle is arctan2(|r x r'|,
-|r . r'|) for two lines or two planes and arcsin|d . n| for a line and a
-plane.  The minimal separation, the part of delta = b0' - b0 outside the
-joint direction span, is |delta . (d x d')| / |d x d'| for two lines that are
-not parallel, the part of delta off d for parallel lines, |delta . n| for a
-plane parallel to the other object, and 0 for pairs that meet.  Parallel
-means sin(angle) <= sqrt(2) * 1e-8 (see `_PARALLEL_SIN`).
+A `Scan` stores each object once, as rows of `kinds`, `b0` and one direction
+or normal r (`Scan.rep`), so `_pair_geometry` needs no SVD.  The direction
+angle is arctan2(|r x r'|, |r . r'|) for two lines or two planes and
+arcsin|d . n| for a line and a plane.  The minimal separation, the part of
+delta = b0' - b0 outside the joint direction span, is |delta . (d x d')| /
+|d x d'| for two lines that are not parallel, the part of delta off d for
+parallel lines, |delta . n| for a plane parallel to the other object, and 0
+for pairs that meet.  Parallel means sin(angle) <= sqrt(2) * 1e-8 (see
+`_PARALLEL_SIN`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .graff_core import GraffElement, _cross, _unit_rows, shifted_graff_distance
+from .graff_core import GraffElement, _cross, _frame_reps, _rep_frames, shifted_graff_distance
 
 _AFFINITY_ROWS = 64  # affinity temporaries stay _AFFINITY_ROWS x m, not m x m
 
@@ -61,54 +63,79 @@ class DistanceFn(str, Enum):
     NORMAL_DOT_DIRECTION = "normal_dot_direction"
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
+def _frozen_rows(value, name: str, n: int) -> np.ndarray:
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError):  # ragged or not numbers
+        arr = np.zeros(0)
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise ValueError(f"{name} must be rows of 3 numbers (n x 3)")
+    if len(arr) != n:
+        raise ValueError(f"{name} has {len(arr)} rows for {n} objects")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
     arr.setflags(write=False)
     return arr
 
 
+def _scan_rows(kinds: np.ndarray, frames_of) -> tuple[np.ndarray, np.ndarray, list]:
+    """`Scan.rep` and `Scan.b0` rows of objects of the given kinds, plus (idx, A)
+    for each kind present, from frames_of(k, idx): the bases A (m x 3 x k) and
+    displacements (m x 3) of the objects of kind k at idx."""
+    rep, b0, bases = np.zeros((len(kinds), 3)), np.zeros((len(kinds), 3)), []
+    for k in (1, 2):
+        idx = np.flatnonzero(kinds == k)
+        if idx.size:
+            A, b0[idx] = frames_of(k, idx)
+            rep[idx] = _frame_reps(A)
+            bases.append((idx, A))
+    return rep, b0, bases
+
+
 @dataclass(frozen=True, eq=False)
 class Scan:
-    """Ordered collection of landmark objects, optionally with centroids.
-
-    Centroid metadata is only needed by the centroid-based distance
-    functions; geometry-only pipelines can leave it out.
-
-    The geometry is also stacked once, at construction, into the arrays the
-    matcher reads: `kinds` (subspace dimension per object), `b0`
-    (orthogonal displacements), `rep` (a line's direction, a plane's unit
-    normal) and `centroids` as an n x 3 array.  The pairwise distances
-    within a scan read only `kinds`, `rep` and `b0`.
+    """Ordered landmark objects as the arrays the matcher reads, checked and
+    frozen at construction: `kinds` (1 line, 2 plane), and n x 3 rows `rep` (a
+    line's direction, a plane's unit normal), `b0` (orthogonal displacements)
+    and optional `centroids`, which only the centroid-based distance
+    functions need.
     """
 
     id: str
-    objects: tuple[GraffElement, ...]
+    kinds: np.ndarray
+    rep: np.ndarray
+    b0: np.ndarray
     centroids: np.ndarray | None = None
-    kinds: np.ndarray = field(init=False, repr=False)
-    b0: np.ndarray = field(init=False, repr=False)
-    rep: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        objects = tuple(self.objects)
-        n = len(objects)
-        if self.centroids is not None:
-            cents = np.array(self.centroids, dtype=float).reshape(len(self.centroids), 3)
-            if len(cents) != n:
-                raise ValueError("centroids must align one-to-one with objects")
-            object.__setattr__(self, "centroids", _frozen(cents))
-        kinds = np.array([el.k for el in objects], dtype=int)
-        rep = np.zeros((n, 3))
+        kinds = np.array(self.kinds)
+        if kinds.ndim != 1 or not np.isin(kinds, (1, 2)).all():
+            raise ValueError("kinds must be a sequence of 1 (line) or 2 (plane)")
+        object.__setattr__(self, "kinds", kinds.astype(int))
+        self.kinds.setflags(write=False)
+        for name in ("rep", "b0", "centroids")[: 2 if self.centroids is None else 3]:
+            object.__setattr__(self, name, _frozen_rows(getattr(self, name), name, len(kinds)))
+
+    @classmethod
+    def from_elements(cls, id: str, objects: Sequence[GraffElement], centroids=None) -> "Scan":
+        """Scan of GraffElements, stacked into the stored arrays."""
+        A, b0 = [el.A for el in objects], [el.b0 for el in objects]
+        kinds = np.array([a.shape[1] for a in A], dtype=int)
+        rep, b0, _ = _scan_rows(kinds, lambda k, idx: (np.stack([A[i] for i in idx]), [b0[i] for i in idx]))
+        return cls(id, kinds, rep, b0, None if centroids is None else np.reshape(centroids, (len(centroids), 3)))
+
+    @functools.cached_property
+    def objects(self) -> tuple[GraffElement, ...]:
+        """The objects as GraffElements (bases from `rep` by `_rep_frames`), built on first read."""
+        objects = [None] * len(self)
         for k in (1, 2):
-            idx = np.flatnonzero(kinds == k)
-            if idx.size:
-                A = np.stack([objects[i].A for i in idx])
-                rep[idx] = A[:, :, 0] if k == 1 else _unit_rows(_cross(A[:, :, 0], A[:, :, 1]))
-        object.__setattr__(self, "objects", objects)
-        object.__setattr__(self, "kinds", _frozen(kinds))
-        object.__setattr__(self, "b0", _frozen(np.array([el.b0 for el in objects], dtype=float).reshape(n, 3)))
-        object.__setattr__(self, "rep", _frozen(rep))
+            idx = np.flatnonzero(self.kinds == k)
+            for i, A in zip(idx, _rep_frames(k, self.rep[idx])):
+                objects[i] = GraffElement(A, self.b0[i])
+        return tuple(objects)
 
     def __len__(self) -> int:
-        return len(self.objects)
+        return len(self.kinds)
 
 
 class Candidate(NamedTuple):
@@ -184,8 +211,7 @@ def unique_matches(
 def _rep_sin_cos(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cross products r x r' (n x n x 3), |r x r'| and |r . r'| of every pair
     of rows of r; |r x r| is exactly 0."""
-    n = len(r)
-    cross = _cross(np.repeat(r, n, axis=0), np.tile(r, (n, 1))).reshape(n, n, 3)
+    cross = _cross(r[:, None, :], r[None, :, :])
     return cross, np.sqrt(np.einsum("xya,xya->xy", cross, cross)), np.abs(r @ r.T)
 
 

@@ -69,9 +69,15 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 def rotation_about_axis(axis, angle: float) -> np.ndarray:
     """Rotation matrix for a rotation of `angle` radians about `axis`."""
-    a = _unit_vector(axis, "axis")
-    k = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
-    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+    return _rotations(_unit_vector(axis, "axis")[None], np.array([float(angle)]))[0]
+
+
+def _rotations(a: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Rodrigues rotations (n x 3 x 3) about unit axes a (n x 3) by angles (n)."""
+    k = np.zeros((len(a), 3, 3))
+    k[:, 0, 1], k[:, 0, 2], k[:, 1, 2] = -a[:, 2], a[:, 1], -a[:, 0]
+    k[:, 1, 0], k[:, 2, 0], k[:, 2, 1] = a[:, 2], -a[:, 1], a[:, 0]
+    return np.eye(3) + np.sin(angles)[:, None, None] * k + (1.0 - np.cos(angles))[:, None, None] * (k @ k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,9 +109,6 @@ class RigidTransform:
     def compose(self, other: "RigidTransform") -> "RigidTransform":
         """Transform equal to applying `other` first, then `self`."""
         return RigidTransform(self.R @ other.R, self.R @ other.t + self.t)
-
-    def inverse(self) -> "RigidTransform":
-        return RigidTransform(self.R.T, -(self.R.T @ self.t))
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,8 +316,9 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise cross product in np.cross's arithmetic, without its per-call setup."""
-    return a[:, [1, 2, 0]] * b[:, [2, 0, 1]] - a[:, [2, 0, 1]] * b[:, [1, 2, 0]]
+    """Cross product over the last axis (broadcasting) in np.cross's arithmetic,
+    without its per-call setup."""
+    return a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
 
 
 def _frames(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -338,6 +342,18 @@ def _stacked_frames(k: int, v: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, n
     helper[np.arange(len(n)), np.argmin(np.abs(n), axis=1)] = 1.0
     u = _unit_rows(_cross(n, helper))
     return _frames(np.stack([u, _cross(n, u)], axis=2), d[:, None] * n)
+
+
+def _frame_reps(A: np.ndarray) -> np.ndarray:
+    """One vector per basis of A (n x 3 x k): a line's direction, a plane's unit normal."""
+    return A[:, :, 0] if A.shape[2] == 1 else _unit_rows(_cross(A[:, :, 0], A[:, :, 1]))
+
+
+def _rep_frames(k: int, rep: np.ndarray) -> np.ndarray:
+    """Bases (n x 3 x k) from `_frame_reps`: a line's direction, or the in-plane basis
+    from_hesse gives a plane with normal rep at a positive offset, which keeps rep's
+    sign (a gauge every distance is invariant to; scene centroids are offset along it)."""
+    return rep[:, :, None] if k == 1 else _stacked_frames(2, rep, np.ones(len(rep)))[0]
 
 
 def _element(frames: tuple[np.ndarray, np.ndarray]) -> GraffElement:

@@ -88,13 +88,6 @@ def match_residuals(matches: MatchSet, transform: RigidTransform):
     return angles, np.where(matches.is_line, line_offsets, plane_offsets)
 
 
-def _try_estimate(matches: MatchSet):
-    try:
-        return estimate_transform(matches), None
-    except (InsufficientMatchesError, DegenerateConfigurationError) as exc:
-        return None, str(exc)
-
-
 def associate_scans(
     scan_i: Scan,
     scan_j: Scan,
@@ -113,16 +106,16 @@ def associate_scans(
 
     if len(chosen) < 3:
         return failed(f"only {len(chosen)} correspondences found, need at least 3")
-    matches = _match_set(scan_i, scan_j, chosen)
-    transform, reason = _try_estimate(matches)
-    if transform is None:
-        return failed(reason)
-
-    # Drop the single worst residual violator and re-fit until the set is
-    # self-consistent; one bad match can bias the first estimate enough to
-    # make good matches look bad, so removals are one at a time.
-    angles, offsets = match_residuals(matches, transform)
+    # Fit, then drop the single worst residual violator and re-fit until the
+    # set is self-consistent; one bad match can bias the first estimate enough
+    # to make good matches look bad, so removals are one at a time.
     while True:
+        matches = _match_set(scan_i, scan_j, chosen)
+        try:
+            transform = estimate_transform(matches)
+        except (InsufficientMatchesError, DegenerateConfigurationError) as exc:
+            return failed(str(exc))
+        angles, offsets = match_residuals(matches, transform)
         violation = np.maximum(angles / MAX_ANGLE_RESIDUAL_RAD, offsets / MAX_OFFSET_RESIDUAL_M)
         worst = int(np.argmax(violation))
         if violation[worst] <= 1.0:
@@ -130,17 +123,6 @@ def associate_scans(
         if len(chosen) - 1 < 3:
             return failed("matches are mutually inconsistent under the estimated transform")
         chosen = chosen[:worst] + chosen[worst + 1 :]
-        matches = _match_set(scan_i, scan_j, chosen)
-        transform, reason = _try_estimate(matches)
-        if transform is None:
-            return failed(reason)
-        angles, offsets = match_residuals(matches, transform)
     return Association(
-        n_candidates=len(candidates),
-        matches=chosen,
-        objective=selection.objective,
-        transform=transform,
-        max_angle_residual_rad=float(angles.max()) if len(chosen) else 0.0,
-        max_offset_residual_m=float(offsets.max()) if len(chosen) else 0.0,
-        failure=None,
+        len(candidates), chosen, selection.objective, transform, float(angles.max()), float(offsets.max()), None
     )

@@ -15,7 +15,8 @@ Schema (version 1)::
 Coordinates are JSON numbers (not strings), finite and at most 1e150 in
 magnitude.  Directions and normals must be unit vectors; deviations up to
 1e-3 are silently renormalized, anything larger is renormalized with a
-warning, and zero norms are rejected.  Loader errors name the field.
+warning, and zero norms are rejected.  Loader errors name the field.  Load and
+save go between the document and the `Scan` arrays, building no per-object element.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .consistency import Scan
-from .graff_core import GraffElement, _stacked_frames, _unit_rows, to_hesse, to_pd
+from .consistency import Scan, _scan_rows
+from .graff_core import _stacked_frames, _unit_rows
 
 __all__ = ["ScanFormatError", "SCHEMA_VERSION", "load_scan", "save_scan", "scan_to_dict", "scan_from_dict"]
 
@@ -39,6 +40,10 @@ _NORM_WARN_TOL = 1e-3
 # bound on every coordinate: a squared distance between two bounded points is
 # at most 12e300, so it and sums of many stay finite (1e308 squared overflows)
 _MAX_ABS = 1e150
+
+
+# each kind's (direction or normal, point or offset) field names
+_FIELDS = {"line": ("direction", "point"), "plane": ("normal", "d")}
 
 
 class ScanFormatError(ValueError):
@@ -79,30 +84,22 @@ def _object_from_dict(entry, index: int) -> tuple[int, np.ndarray, np.ndarray | 
     if not isinstance(entry, dict):
         raise ScanFormatError(f"{where} must be an object")
     kind = entry.get("kind")
-    if kind == "line":
-        block = entry.get("line")
-        if not isinstance(block, dict):
-            raise ScanFormatError(f"{where}.line must be an object with direction and point")
-        if "direction" not in block or "point" not in block:
-            raise ScanFormatError(f"{where}.line needs both direction and point")
-        direction = _unit(block["direction"], "direction", f"{where}.line")
-        fields = 1, direction, _vector(block["point"], "point", f"{where}.line")
-    elif kind == "plane":
-        block = entry.get("plane")
-        if not isinstance(block, dict):
-            raise ScanFormatError(f"{where}.plane must be an object with normal and d")
-        if "normal" not in block or "d" not in block:
-            raise ScanFormatError(f"{where}.plane needs both normal and d")
-        normal = _unit(block["normal"], "normal", f"{where}.plane")
-        fields = 2, normal, float(_numbers([block["d"]], f"{where}.plane.d", "must be a number")[0])
-    elif kind is None:
+    if kind is None:
         raise ScanFormatError(f"{where} is missing the kind field")
-    else:
+    if kind not in ("line", "plane"):
         raise ScanFormatError(f"{where}.kind must be 'line' or 'plane', got {kind!r}")
-    centroid = None
-    if "centroid" in entry and entry["centroid"] is not None:
-        centroid = _vector(entry["centroid"], "centroid", where)
-    return *fields, centroid
+    (vec, off), block, at = _FIELDS[kind], entry.get(kind), f"{where}.{kind}"
+    if not isinstance(block, dict):
+        raise ScanFormatError(f"{at} must be an object with {vec} and {off}")
+    if vec not in block or off not in block:
+        raise ScanFormatError(f"{at} needs both {vec} and {off}")
+    v = _unit(block[vec], vec, at)
+    if kind == "line":
+        fields = 1, v, _vector(block["point"], "point", at)
+    else:
+        fields = 2, v, float(_numbers([block["d"]], f"{at}.d", "must be a number")[0])
+    centroid = entry.get("centroid")
+    return *fields, None if centroid is None else _vector(centroid, "centroid", where)
 
 
 def scan_from_dict(doc, source: str = "<scan>") -> Scan:
@@ -129,19 +126,14 @@ def scan_from_dict(doc, source: str = "<scan>") -> Scan:
     has_centroids = any(c is not None for c in centroids)
     if has_centroids and not all(c is not None for c in centroids):
         raise ScanFormatError(f"{source}: either all objects carry a centroid or none do")
-    objects = [None] * len(parsed)
-    for k in (1, 2):
-        idx = [i for i, fields in enumerate(parsed) if fields[0] == k]
-        if idx:
-            # LinePD and PlaneHesse normalize the (already unit) vectors once more
-            v, x = _unit_rows(np.array([parsed[i][1] for i in idx])), np.array([parsed[i][2] for i in idx])
-            for i, A, b0 in zip(idx, *_stacked_frames(k, v, x)):
-                objects[i] = GraffElement(A, b0)
-    return Scan(
-        id=scan_id,
-        objects=tuple(objects),
-        centroids=tuple(centroids) if has_centroids else None,
-    )
+
+    def frames_of(k, idx):
+        v, x = np.array([parsed[i][1] for i in idx]), np.array([parsed[i][2] for i in idx])
+        return _stacked_frames(k, _unit_rows(v), x)  # as LinePD / PlaneHesse, v is normalized once more
+
+    kinds = np.array([fields[0] for fields in parsed], dtype=int)
+    rep, b0, _ = _scan_rows(kinds, frames_of)
+    return Scan(scan_id, kinds, rep, b0, np.array(centroids) if has_centroids else None)
 
 
 def load_scan(path) -> Scan:
@@ -158,16 +150,24 @@ def load_scan(path) -> Scan:
 
 
 def scan_to_dict(scan: Scan) -> dict:
+    """The scan as a schema document, in LinePD's and PlaneHesse's arithmetic: unit
+    directions or normals (normalized once more), line points b0, plane offsets
+    d = |b0| with the normal turned toward b0, or at d = 0 its first nonzero
+    entry made positive."""
+    n_b0 = (scan.rep[:, None, :] @ scan.b0[:, :, None])[:, 0, 0]
+    d = np.sqrt((scan.b0[:, None, :] @ scan.b0[:, :, None])[:, 0, 0])
+    v = _unit_rows(scan.rep)
+    first = v[np.arange(len(v)), np.argmax(v != 0.0, axis=1)]
+    flip = (scan.kinds == 2) & (((d > 0.0) & (n_b0 < 0.0)) | ((d == 0.0) & (first < 0.0)))
+    v = np.where(flip[:, None], -v, v).tolist()
     objects = []
-    for index, el in enumerate(scan.objects):
-        if el.k == 1:
-            line = to_pd(el)
-            entry = {"kind": "line", "line": {"direction": list(line.a), "point": list(line.p)}}
+    for index, (k, b0) in enumerate(zip(scan.kinds.tolist(), scan.b0.tolist())):
+        if k == 1:
+            entry = {"kind": "line", "line": {"direction": v[index], "point": b0}}
         else:
-            plane = to_hesse(el)
-            entry = {"kind": "plane", "plane": {"normal": list(plane.n), "d": plane.d}}
+            entry = {"kind": "plane", "plane": {"normal": v[index], "d": float(d[index])}}
         if scan.centroids is not None:
-            entry["centroid"] = list(np.asarray(scan.centroids[index], dtype=float))
+            entry["centroid"] = scan.centroids[index].tolist()
         objects.append(entry)
     return {"schema": SCHEMA_VERSION, "id": scan.id, "objects": objects}
 

@@ -5,24 +5,26 @@ planes with near-horizontal normals, anchored uniformly in a cubic workspace
 sized so pairwise object distances land near a target mean.  Loop pairs are
 rigidly transformed copies with orientation/offset noise, partial overlap,
 clutter and index permutation, with ground-truth correspondences recorded.
+Random draws are taken object by object; the geometry is built on stacked arrays.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .consistency import ConsistencyParams, DistanceFn, Scan
+from .consistency import ConsistencyParams, DistanceFn, Scan, _scan_rows
 from .graff_core import (
-    GraffElement,
-    LinePD,
-    PlaneHesse,
     RigidTransform,
-    from_hesse,
-    from_pd,
+    _frames,
+    _rep_frames,
+    _rotations,
+    _stacked_frames,
+    _unit_rows,
     rotation_about_axis,
 )
 from .pipeline import associate_scans
@@ -144,31 +146,34 @@ def _sample_plane_normal(rng: np.random.Generator) -> np.ndarray:
     return _random_unit(rng)
 
 
-def _centroid_on(el: GraffElement, ref: np.ndarray, rng: np.random.Generator, extent: float) -> np.ndarray:
-    """A point near `ref` sampled on the (infinite) object, standing in for
-    the centroid a segmentation stage would report."""
-    offsets = rng.uniform(-extent / 2.0, extent / 2.0, size=el.k)
-    return ref + el.A @ offsets
+def _anchored(k: int, v: np.ndarray, anchors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frames of objects of kind k through the anchors: lines along v, planes with
+    normals v and offsets v . anchor, as the one-object constructors build them."""
+    x = anchors if k == 1 else (v[:, None, :] @ anchors[:, :, None])[:, 0, 0]
+    return _stacked_frames(k, _unit_rows(v), x)
+
+
+def _centroid_on(bases: list, refs: np.ndarray, offsets: list) -> np.ndarray:
+    """Points near `refs` (n x 3) on the (infinite) objects, offset along each kind's
+    bases (idx, A): the centroids a segmentation stage would report."""
+    centroids = np.zeros(refs.shape)
+    for idx, A in bases:
+        centroids[idx] = refs[idx] + (A @ np.array([offsets[i] for i in idx])[:, :, None])[:, :, 0]
+    return centroids
 
 
 def generate_scene(cfg: SceneConfig) -> Scan:
     """Deterministic synthetic scan of pole-like lines and wall-like planes."""
     rng = np.random.default_rng(cfg.seed)
     L = cfg.effective_extent
-    n = cfg.n_lines + cfg.n_planes
-    anchors = rng.uniform(-L / 2.0, L / 2.0, size=(n, 3))
-    objects: list[GraffElement] = []
-    centroids: list[np.ndarray] = []
-    for i in range(cfg.n_lines):
-        el = from_pd(LinePD(_sample_line_direction(rng), anchors[i]))
-        objects.append(el)
-        centroids.append(_centroid_on(el, anchors[i], rng, cfg.centroid_extent))
-    for i in range(cfg.n_lines, n):
-        normal = _sample_plane_normal(rng)
-        el = from_hesse(PlaneHesse(normal, float(normal @ anchors[i])))
-        objects.append(el)
-        centroids.append(_centroid_on(el, anchors[i], rng, cfg.centroid_extent))
-    return Scan(id=f"scene-{cfg.seed}", objects=tuple(objects), centroids=tuple(centroids))
+    kinds = np.repeat([1, 2], [cfg.n_lines, cfg.n_planes])
+    anchors = rng.uniform(-L / 2.0, L / 2.0, size=(len(kinds), 3))
+    vectors, offsets = np.zeros(anchors.shape), []
+    for i, k in enumerate(kinds.tolist()):
+        vectors[i] = _sample_line_direction(rng) if k == 1 else _sample_plane_normal(rng)
+        offsets.append(rng.uniform(-cfg.centroid_extent / 2.0, cfg.centroid_extent / 2.0, size=k))
+    rep, b0, bases = _scan_rows(kinds, lambda k, idx: _anchored(k, vectors[idx], anchors[idx]))
+    return Scan(f"scene-{cfg.seed}", kinds, rep, b0, _centroid_on(bases, anchors, offsets))
 
 
 def _sample_truth(rng: np.random.Generator, pcfg: PairConfig) -> RigidTransform:
@@ -185,14 +190,10 @@ def _sample_truth(rng: np.random.Generator, pcfg: PairConfig) -> RigidTransform:
     return RigidTransform(R, t)
 
 
-def _perturb(el: GraffElement, rng: np.random.Generator, pcfg: PairConfig) -> GraffElement:
-    A, b = el.A, el.b0
-    if pcfg.noise_dir_rad > 0:
-        angle = abs(rng.normal(0.0, pcfg.noise_dir_rad))
-        A = rotation_about_axis(_random_unit(rng), angle) @ A
-    if pcfg.noise_disp_m > 0:
-        b = b + rng.normal(0.0, pcfg.noise_disp_m, size=3)
-    return GraffElement.from_affine(A, b)
+def _perturb(A: np.ndarray, b: np.ndarray, turns: np.ndarray | None, shifts: np.ndarray | None):
+    """Frames of objects (bases A, points b) turned by the rotations `turns`
+    (n x 3 x 3) and moved by `shifts` (n x 3), where given."""
+    return _frames(A if turns is None else turns @ A, b if shifts is None else b + shifts)
 
 
 def _object_extent(scan: Scan) -> float:
@@ -209,46 +210,57 @@ def make_loop_pair(scene: Scan, pcfg: PairConfig) -> LoopPair:
     rng = np.random.default_rng(pcfg.seed)
     truth = _sample_truth(rng, pcfg)
     has_centroids = scene.centroids is not None
-    n = len(scene.objects)
+    n = len(scene)
     n_keep = int(round(pcfg.overlap * n))
-    keep = sorted(rng.choice(n, size=n_keep, replace=False)) if n_keep else []
+    keep = np.array(sorted(rng.choice(n, size=n_keep, replace=False)) if n_keep else [], dtype=int)
+    half_extent = pcfg.centroid_extent / 2.0
 
-    objects_j: list[GraffElement] = []
-    centroids_j: list[np.ndarray] = []
-    source_of: list[int | None] = []
-    for i in keep:
-        el = _perturb(scene.objects[i].transformed(truth), rng, pcfg)
-        objects_j.append(el)
+    # The random draws, object by object: kept objects' noise and centroid
+    # offsets, then each clutter object's anchor, vector and offsets.
+    angles, axes, shifts, offsets = [], [], [], []
+    for k in scene.kinds[keep].tolist():
+        if pcfg.noise_dir_rad > 0:
+            angles.append(abs(rng.normal(0.0, pcfg.noise_dir_rad)))
+            axes.append(_random_unit(rng))
+        if pcfg.noise_disp_m > 0:
+            shifts.append(rng.normal(0.0, pcfg.noise_disp_m, size=3))
         if has_centroids:
-            centroids_j.append(
-                _centroid_on(el, truth.apply(scene.centroids[i]), rng, pcfg.centroid_extent)
-            )
-        source_of.append(int(i))
-
-    n_lines = sum(1 for el in scene.objects if el.k == 1)
+            offsets.append(rng.uniform(-half_extent, half_extent, size=k))
+    n_lines = int(np.count_nonzero(scene.kinds == 1))
     n_clutter_lines = int(round(pcfg.clutter * n_lines / n)) if n else (pcfg.clutter + 1) // 2
     L = _object_extent(scene)
-    for c in range(pcfg.clutter):
-        anchor = rng.uniform(-L / 2.0, L / 2.0, size=3)
-        if c < n_clutter_lines:
-            el = from_pd(LinePD(_sample_line_direction(rng), anchor)).transformed(truth)
-        else:
-            normal = _sample_plane_normal(rng)
-            el = from_hesse(PlaneHesse(normal, float(normal @ anchor))).transformed(truth)
-        objects_j.append(el)
+    clutter_kinds = np.where(np.arange(pcfg.clutter) < n_clutter_lines, 1, 2)
+    anchors, vectors = np.zeros((pcfg.clutter, 3)), np.zeros((pcfg.clutter, 3))
+    for c, k in enumerate(clutter_kinds.tolist()):
+        anchors[c] = rng.uniform(-L / 2.0, L / 2.0, size=3)
+        vectors[c] = _sample_line_direction(rng) if k == 1 else _sample_plane_normal(rng)
         if has_centroids:
-            centroids_j.append(_centroid_on(el, truth.apply(anchor), rng, pcfg.centroid_extent))
-        source_of.append(None)
+            offsets.append(rng.uniform(-half_extent, half_extent, size=k))
+    perm = rng.permutation(n_keep + pcfg.clutter)
 
-    perm = rng.permutation(len(objects_j))
-    truth_pairs = tuple(
-        sorted((source_of[p], new_idx) for new_idx, p in enumerate(perm) if source_of[p] is not None)
-    )
-    scan_j = Scan(
-        id=f"{scene.id}-loop",
-        objects=tuple(objects_j[p] for p in perm),
-        centroids=tuple(centroids_j[p] for p in perm) if has_centroids else None,
-    )
+    # Kept objects and clutter are moved together, in one element's arithmetic;
+    # the kept ones then get their noise.
+    turns = _rotations(_unit_rows(np.array(axes)), np.array(angles)) if axes else None
+    shifts = np.array(shifts) if shifts else None
+
+    def frames_of(k, idx):
+        kept, clutter = idx[idx < n_keep], idx[idx >= n_keep] - n_keep
+        A_c, b_c = _anchored(k, vectors[clutter], anchors[clutter])
+        A = truth.R @ np.concatenate([_rep_frames(k, scene.rep[keep[kept]]), A_c])
+        b = truth.R @ np.concatenate([scene.b0[keep[kept]], b_c])[:, :, None]
+        A, b = _frames(A, b[:, :, 0] + truth.t)
+        noise = (None if x is None else x[kept] for x in (turns, shifts))
+        A[: kept.size], b[: kept.size] = _perturb(A[: kept.size], b[: kept.size], *noise)
+        return A, b
+
+    kinds = np.concatenate([scene.kinds[keep], clutter_kinds])
+    rep, b0, bases = _scan_rows(kinds, frames_of)
+    centroids = None
+    if has_centroids:  # truth.apply one point at a time, as a 1 x 3 row times R^T
+        refs = (np.concatenate([scene.centroids[keep], anchors])[:, None, :] @ truth.R.T)[:, 0, :] + truth.t
+        centroids = _centroid_on(bases, refs, offsets)[perm]
+    truth_pairs = tuple(sorted((int(keep[p]), new) for new, p in enumerate(perm.tolist()) if p < n_keep))
+    scan_j = Scan(f"{scene.id}-loop", kinds[perm], rep[perm], b0[perm], centroids)
     return LoopPair(scene, scan_j, truth, truth_pairs, degenerate=n_keep < 3)
 
 
@@ -306,19 +318,12 @@ def compute_metrics(results: list[TrialResult]) -> CampaignMetrics:
     n = len(results)
     ranked = sorted((r for r in results if not r.failed), key=lambda r: -r.objective)
     true_positives = 0
-    recall_100 = 0.0
-    pos = 0
-    while pos < len(ranked):
-        end = pos
-        while end < len(ranked) and ranked[end].objective == ranked[pos].objective:
-            end += 1
-        group = ranked[pos:end]
-        if all(r.accept for r in group):
-            true_positives += len(group)
-            recall_100 = true_positives / n
-            pos = end
-        else:
+    for _, group in itertools.groupby(ranked, key=lambda r: r.objective):
+        group = list(group)
+        if not all(r.accept for r in group):
             break
+        true_positives += len(group)
+    recall_100 = true_positives / n
     accepted = [r for r in results if r.accept]
     med_rot = float(np.median([r.error.rot_deg for r in accepted])) if accepted else None
     med_trans = float(np.median([r.error.trans_m for r in accepted])) if accepted else None
@@ -364,11 +369,7 @@ class CampaignConfig:
         object.__setattr__(self, "distance_fns", tuple(DistanceFn(f) for f in self.distance_fns))
 
     def overlap_for(self, tier: str) -> float:
-        return {
-            "easy": self.overlap_easy,
-            "medium": self.overlap_medium,
-            "hard": self.overlap_hard,
-        }[tier]
+        return getattr(self, f"overlap_{tier}")
 
     def consistency_params(self) -> ConsistencyParams:
         return ConsistencyParams(epsilon=self.epsilon, sigma=self.sigma, rho=self.rho)

@@ -62,7 +62,7 @@ class TestScanIO:
 
     def test_newline_terminated(self, tmp_path):
         path = tmp_path / "scan.json"
-        save_scan(path, Scan("x", (from_pd(LinePD([0, 0, 1], [1, 0, 0])),)))
+        save_scan(path, Scan.from_elements("x", (from_pd(LinePD([0, 0, 1], [1, 0, 0])),)))
         assert path.read_bytes().endswith(b"\n")
 
     def test_norm_warning_beyond_tolerance(self, tmp_path):
@@ -286,7 +286,7 @@ class TestMatchCommand:
             assert offset <= doc["residuals"]["max_offset_m"] + slack
 
     def test_too_few_objects_exit_two(self, tmp_path, capsys):
-        small = Scan(
+        small = Scan.from_elements(
             "tiny",
             (
                 from_pd(LinePD([0, 0, 1], [0, 0, 0])),
@@ -342,7 +342,7 @@ class TestDistanceCommand:
         assert out.startswith("distance_rad 0")
 
     def test_parallel_lines_fixture(self, tmp_path, capsys):
-        scan = Scan(
+        scan = Scan.from_elements(
             "fix",
             (from_pd(LinePD([0, 0, 1], [0, 0, 0])), from_pd(LinePD([0, 0, 1], [1, 0, 0]))),
         )
@@ -352,8 +352,28 @@ class TestDistanceCommand:
         out = capsys.readouterr().out
         assert "distance_rad 0.785398163397" in out
 
+    def test_shared_directions_give_exact_zero_angles(self, tmp_path, capsys):
+        # antiparallel lines, and two planes (which always share a direction) that meet
+        d = np.array([0.1, 0.2, 0.7])
+        scan = Scan.from_elements(
+            "zero",
+            (
+                from_pd(LinePD(d, [0, 0, 0])),
+                from_pd(LinePD(-d, [1, 0, 0])),
+                from_hesse(PlaneHesse([0.3, -0.4, 0.5], 2.0)),
+                from_hesse(PlaneHesse([1.0, 2.0, 3.0], -1.0)),
+            ),
+        )
+        path = tmp_path / "zero.json"
+        save_scan(path, scan)
+        for a, b in (("0", "1"), ("2", "3")):
+            assert main(["distance", str(path), a, b]) == 0
+            angles = capsys.readouterr().out.splitlines()[1].split()[1:]
+            assert len(angles) == (2 if a == "0" else 3)
+            assert angles[:-1] == ["0"] * (len(angles) - 1)
+
     def test_line_vs_plane_two_angles(self, tmp_path, capsys):
-        scan = Scan(
+        scan = Scan.from_elements(
             "mix",
             (from_pd(LinePD([0, 0, 1], [3, 4, 0])), from_hesse(PlaneHesse([1, 0, 0], 2.0))),
         )

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -38,11 +39,11 @@ def make_scan(rng, n_lines, n_planes, scan_id="s", centroids=False):
     objects = [random_line(rng) for _ in range(n_lines)]
     objects += [random_plane(rng) for _ in range(n_planes)]
     cents = tuple(rng.uniform(-20, 20, 3) for _ in objects) if centroids else None
-    return Scan(id=scan_id, objects=tuple(objects), centroids=cents)
+    return Scan.from_elements(id=scan_id, objects=tuple(objects), centroids=cents)
 
 
 def transformed_scan(scan, T, scan_id="t"):
-    return Scan(
+    return Scan.from_elements(
         id=scan_id,
         objects=tuple(el.transformed(T) for el in scan.objects),
         centroids=None if scan.centroids is None else tuple(T.apply(c) for c in scan.centroids),
@@ -75,6 +76,84 @@ def near_parallel_pairs(rng):
                 lambda d, u, w, p: (plane(w, p), plane(c * w + s * u, p + h * w)),
             ):
                 yield *build(*random_rotation(rng).T, rng.uniform(-30.0, 30.0, 3)), t
+
+
+def scan_arrays(**changes):
+    """Arrays of a valid two-line, one-plane scan, with some replaced."""
+    fields = dict(
+        kinds=[1, 1, 2],
+        rep=[[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.6, 0.8]],
+        b0=[[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 1.2, 1.6]],
+        centroids=[[1.0, 0.0, 5.0], [3.0, 2.0, 0.0], [1.0, 1.2, 1.6]],
+    )
+    fields.update(changes)
+    return fields
+
+
+class TestScanArrays:
+    def test_valid_arrays_are_frozen(self):
+        assert [f.name for f in dataclasses.fields(Scan)] == ["id", "kinds", "rep", "b0", "centroids"]
+        scan = Scan("s", **scan_arrays())
+        assert len(scan) == 3 and scan.kinds.dtype.kind == "i"
+        for name in ("kinds", "rep", "b0", "centroids"):
+            with pytest.raises(ValueError):
+                getattr(scan, name)[0] = 0
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (dict(rep=[[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.6]]), "rep must be rows of 3 numbers"),
+            (dict(b0=[1.0, 0.0, 0.0]), "b0 must be rows of 3 numbers"),
+            (dict(centroids=np.zeros((3, 2))), "centroids must be rows of 3 numbers"),
+        ],
+        ids=["ragged-rep", "flat-b0", "centroids-n-x-2"],
+    )
+    def test_rows_must_be_n_by_3(self, changes, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            Scan("s", **scan_arrays(**changes))
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (dict(kinds=[1, 2]), "rep has 3 rows for 2 objects"),
+            (dict(b0=np.zeros((4, 3))), "b0 has 4 rows for 3 objects"),
+            (dict(centroids=np.zeros((2, 3))), "centroids has 2 rows for 3 objects"),
+        ],
+        ids=["kinds", "b0", "centroids"],
+    )
+    def test_lengths_must_agree(self, changes, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Scan("s", **scan_arrays(**changes))
+
+    @pytest.mark.parametrize("kinds", [[1, 3, 2], [0, 1, 2], [1, 1.5, 2], [[1, 1, 2]]])
+    def test_kinds_must_be_1_or_2(self, kinds):
+        with pytest.raises(ValueError, match=r"^kinds must be a sequence of 1 \(line\) or 2 \(plane\)$"):
+            Scan("s", **scan_arrays(kinds=kinds))
+
+    @pytest.mark.parametrize("name", ["rep", "b0", "centroids"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_values_must_be_finite(self, name, bad):
+        values = np.array(scan_arrays()[name])
+        values[1, 2] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            Scan("s", **scan_arrays(**{name: values}))
+
+    def test_objects_view(self):
+        rng = np.random.default_rng(3)
+        elements = [random_line(rng), random_plane(rng), random_line(rng), random_plane(rng)]
+        scan = Scan.from_elements("s", elements)
+        view = scan.objects
+        assert view is scan.objects  # built once
+        with pytest.raises(AttributeError):
+            scan.objects = ()
+        for el, orig, rep, b0 in zip(view, elements, scan.rep, scan.b0):
+            assert el.k == orig.k and np.array_equal(el.b0, b0)
+            if el.k == 1:
+                assert el.A.tobytes() == rep[:, None].tobytes() == orig.A.tobytes()
+            else:  # the same plane, in from_hesse's basis of the stored normal
+                assert np.abs(el.A.T @ rep).max() < 1e-15
+                assert shifted_graff_distance(el, orig, 40.0) < 1e-7
+                assert to_hesse(el).n @ to_hesse(orig).n > 1 - 1e-15
 
 
 class TestCandidates:
@@ -243,7 +322,7 @@ class TestInternalDistanceMatrix:
             from_hesse(PlaneHesse(n, 2.0)),
             from_hesse(PlaneHesse(-n, 7.0)),
         )
-        scan = Scan("parallel", objects)
+        scan = Scan.from_elements("parallel", objects)
         D = _rep_vector_angle_matrix(scan)
         r = scan.rep
         same = np.array([[np.array_equal(a, b) or np.array_equal(a, -b) for b in r] for a in r])
@@ -256,7 +335,7 @@ class TestInternalDistanceMatrix:
         line = from_pd(LinePD([np.sin(theta), 0.0, np.cos(theta)], [0.0, 0.0, 0.0]))
         across = from_pd(LinePD([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]))
         floor = from_hesse(PlaneHesse([0.0, 0.0, 1.0], 1.0))
-        scan = Scan("mixed", (line, across, floor))
+        scan = Scan.from_elements("mixed", (line, across, floor))
         D = _rep_vector_angle_matrix(scan)
         assert D[0, 2] == pytest.approx(theta, abs=1e-12)
         assert D[1, 2] == pytest.approx(np.pi / 2, abs=1e-12)
@@ -282,7 +361,7 @@ class TestInternalDistanceMatrix:
         for el_a, el_b, t in near_parallel_pairs(rng):
             built[len(objects), len(objects) + 1] = t
             objects += [el_a, el_b]
-        scan = Scan("s", tuple(objects))
+        scan = Scan.from_elements("s", tuple(objects))
         D, D_gr = internal_distance_matrix(scan, rho), _gr_distance_matrix(scan)
         assert np.all(np.diag(D) == 0.0) and np.all(np.diag(D_gr) == 0.0)
         n = len(objects)
@@ -300,7 +379,7 @@ class TestInternalDistanceMatrix:
                 assert abs(D_gr[x, y] - expect_gr) <= 1e-10, (x, y)
 
     def test_empty_scan(self):
-        assert internal_distance_matrix(Scan("e", ()), 1.0).shape == (0, 0)
+        assert internal_distance_matrix(Scan.from_elements("e", ()), 1.0).shape == (0, 0)
 
     def test_nan_rho_rejected(self):
         scan = make_scan(np.random.default_rng(30), 1, 1)
@@ -373,7 +452,7 @@ class TestBuildAffinity:
         scan_j = make_scan(rng, 2, 3)
         M0, cands0 = build_affinity(scan_i, scan_j, ConsistencyParams())
         perm = rng.permutation(len(scan_i.objects))
-        relabeled = Scan("r", tuple(scan_i.objects[p] for p in perm))
+        relabeled = Scan.from_elements("r", tuple(scan_i.objects[p] for p in perm))
         M1, cands1 = build_affinity(relabeled, scan_j, ConsistencyParams())
         # map each relabeled candidate back to the original indexing
         back = {new: int(old) for new, old in enumerate(perm)}
@@ -408,7 +487,7 @@ class TestBuildAffinity:
         assert float(np.min(block)) > float(cross.max()) - 1e-9
 
     def test_empty(self):
-        M, cands = build_affinity(Scan("a", ()), Scan("b", ()), ConsistencyParams())
+        M, cands = build_affinity(Scan.from_elements("a", ()), Scan.from_elements("b", ()), ConsistencyParams())
         assert M.shape == (0, 0) and cands == []
 
     def test_all_distance_functions_produce_valid_affinity(self):
@@ -477,7 +556,7 @@ def _noisy_copy(rng, scan):
     T = random_transform(rng)
     objects = tuple(el.translated(rng.normal(scale=0.05, size=3)).transformed(T) for el in scan.objects)
     cents = tuple(T.apply(c + rng.normal(scale=0.1, size=3)) for c in scan.centroids)
-    return Scan("j", objects, cents)
+    return Scan.from_elements("j", objects, cents)
 
 
 def _blocked_pair(seed, n_lines, n_planes):

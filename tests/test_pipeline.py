@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_line, random_plane, random_transform, rot_angle_rad
 from graffassoc import (
+    CampaignConfig,
     ConsistencyParams,
     DistanceFn,
     GraffElement,
@@ -20,6 +21,8 @@ from graffassoc import (
     make_loop_pair,
     match_residuals,
     rotation_about_axis,
+    run_campaign,
+    run_trial,
     solve_densest,
     to_hesse,
     to_pd,
@@ -86,7 +89,7 @@ def noisy_mix(rng, n_lines, n_planes):
         out = GraffElement.from_affine(A, b)
         moved.append(flipped(out) if rng.uniform() < 0.5 else out)
     pairs = [(k, k) for k in rng.permutation(len(objects)).tolist()]
-    return Scan("i", tuple(objects)), Scan("j", tuple(moved)), pairs, T
+    return Scan.from_elements("i", tuple(objects)), Scan.from_elements("j", tuple(moved)), pairs, T
 
 
 class TestArrayPathOracles:
@@ -110,12 +113,19 @@ class TestArrayPathOracles:
             assert rot_angle_rad(got.R, T.R) < 0.05
 
     def test_residual_angle_agrees_with_arccos_on_noisy_pairs(self):
+        # The reference runs in extended precision and divides by the vectors'
+        # norms: at the sub-mrad residuals here, rounding of a float64 dot or a
+        # unit norm off by one ulp moves arccos by 1e-16 / sin(angle), up to
+        # ~1e-12 rad (see noisy_mix).
+        L = np.longdouble
         for s in range(5):
             pair = loop_pair(s)
             assoc = associate_scans(pair.scan_i, pair.scan_j)
             matches = _match_set(pair.scan_i, pair.scan_j, assoc.matches)
             angles, _ = match_residuals(matches, assoc.transform)
-            dot = np.einsum("na,na->n", matches.src_rep @ assoc.transform.R.T, matches.tgt_rep)
+            src, tgt = matches.src_rep.astype(L) @ assoc.transform.R.T.astype(L), matches.tgt_rep.astype(L)
+            norms = np.sqrt(np.einsum("na,na->n", src, src) * np.einsum("na,na->n", tgt, tgt))
+            dot = np.einsum("na,na->n", src, tgt) / norms
             assert np.max(np.abs(angles - np.arccos(np.clip(np.abs(dot), 0.0, 1.0)))) < 1e-12
 
     def test_residual_angle_has_no_arccos_floor(self, tmp_path):
@@ -154,7 +164,7 @@ def loop_pair(s, **scene):
 
 
 def moved_scan(scan, T):
-    return Scan(
+    return Scan.from_elements(
         scan.id,
         tuple(el.transformed(T) for el in scan.objects),
         None if scan.centroids is None else T.apply(scan.centroids),
@@ -171,7 +181,7 @@ class TestPipelineProperties:
         base = associate_scans(pair.scan_i, pair.scan_j)
         perm = np.random.default_rng(seed).permutation(len(pair.scan_j))
         new_index = np.argsort(perm)
-        scan_j = Scan(
+        scan_j = Scan.from_elements(
             pair.scan_j.id,
             tuple(pair.scan_j.objects[p] for p in perm),
             tuple(pair.scan_j.centroids[p] for p in perm),
@@ -250,7 +260,7 @@ def run_match(tmp_path, scan_a, scan_b, *extra):
 class TestEdgeInputs:
     def test_empty_scan(self, tmp_path):
         pair = loop_pair(0)
-        empty = Scan("empty", ())
+        empty = Scan.from_elements("empty", ())
         for scan_a, scan_b in ((empty, pair.scan_j), (pair.scan_i, empty), (empty, empty)):
             assoc = associate_scans(scan_a, scan_b)
             assert assoc.n_candidates == 0 and assoc.transform is None
@@ -280,9 +290,35 @@ class TestEdgeInputs:
     @pytest.mark.parametrize("fn", [DistanceFn.EUCLIDEAN_CENTROID, DistanceFn.GR_TIMES_EUCLIDEAN])
     def test_centroid_fns_need_centroids(self, tmp_path, capsys, fn):
         pair = loop_pair(5)
-        bare_j = Scan(pair.scan_j.id, pair.scan_j.objects)
+        bare_j = Scan.from_elements(pair.scan_j.id, pair.scan_j.objects)
         with pytest.raises(ValueError, match="centroid"):
             associate_scans(pair.scan_i, bare_j, distance_fn=fn)
         code, doc = run_match(tmp_path, pair.scan_i, bare_j, "--distance-fn", fn.value)
         assert code == 1 and doc is None
         assert "centroid" in capsys.readouterr().err
+
+
+def test_no_production_path_builds_an_element(tmp_path, monkeypatch, capsys):
+    """Scans are stored as arrays: loading, saving, scene generation, matching,
+    distances and campaigns never construct a GraffElement."""
+
+    def refuse(self):
+        raise AssertionError("a GraffElement was constructed")
+
+    monkeypatch.setattr(GraffElement, "__post_init__", refuse)
+    with pytest.raises(AssertionError):
+        GraffElement(np.eye(3)[:, :1], np.zeros(3))
+    pair = make_loop_pair(
+        generate_scene(SceneConfig(seed=8)),
+        PairConfig(baseline_m=8.0, overlap=0.8, clutter=4, noise_dir_rad=0.01, noise_disp_m=0.05, seed=9),
+    )
+    a, b, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "m.json"
+    save_scan(a, pair.scan_i)
+    save_scan(b, pair.scan_j)
+    for fn in DistanceFn:
+        assert main(["match", str(a), str(b), "--distance-fn", fn.value, "--output", str(out)]) in (0, 2)
+    assert main(["distance", str(a), "0", "20"]) == 0
+    assert "distance_rad" in capsys.readouterr().out
+    for fn in DistanceFn:
+        assert run_trial(pair, distance_fn=fn).n_candidates > 0
+    assert len(run_campaign(CampaignConfig(trials=1, tiers=("easy",)))) == 1

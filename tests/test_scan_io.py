@@ -1,9 +1,10 @@
-"""The scan loader builds every object of a kind in one stacked pass.
+"""The scan loader and writer work on the Scan's stacked arrays.
 
-The reference below is the per-object construction the stacked pass
+The loader reference below is the per-object construction the stacked pass
 replaced: scan_io's field parsing, LinePD / PlaneHesse, and then from_pd /
-from_hesse through the per-object from_affine.  Every loaded element must
-match it byte for byte, and so must the stacked arrays of the Scan.
+from_hesse through the per-object from_affine; the loaded Scan's arrays must
+match it byte for byte.  The writer reference is the per-element writer
+through to_pd / to_hesse, whose output `scan_to_dict` must match byte for byte.
 """
 
 import json
@@ -25,6 +26,8 @@ from graffassoc import (
     generate_scene,
     make_loop_pair,
     rotation_about_axis,
+    to_hesse,
+    to_pd,
 )
 from graffassoc.scan_io import ScanFormatError, _unit, _vector, scan_from_dict, scan_to_dict
 
@@ -66,7 +69,23 @@ def reference_scan(doc) -> Scan:
             objects.append(reference_from_hesse(PlaneHesse(normal, float(block["d"]))))
         if entry.get("centroid") is not None:
             centroids.append(_vector(entry["centroid"], "centroid", where))
-    return Scan(doc["id"], tuple(objects), tuple(centroids) if centroids else None)
+    return Scan.from_elements(doc["id"], tuple(objects), tuple(centroids) if centroids else None)
+
+
+def reference_to_dict(scan_id, objects, centroids=None) -> dict:
+    """The per-element writer: to_pd / to_hesse on each GraffElement."""
+    entries = []
+    for index, el in enumerate(objects):
+        if el.k == 1:
+            ln = to_pd(el)
+            entry = {"kind": "line", "line": {"direction": list(ln.a), "point": list(ln.p)}}
+        else:
+            pl = to_hesse(el)
+            entry = {"kind": "plane", "plane": {"normal": list(pl.n), "d": pl.d}}
+        if centroids is not None:
+            entry["centroid"] = list(np.asarray(centroids[index], dtype=float))
+        entries.append(entry)
+    return {"schema": 1, "id": scan_id, "objects": entries}
 
 
 def same_bytes(a, b) -> bool:
@@ -88,7 +107,6 @@ def assert_identical(doc):
     assert loaded_warnings == reference_warnings
     assert len(loaded.objects) == len(reference.objects)
     for index, (el, ref) in enumerate(zip(loaded.objects, reference.objects)):
-        assert same_bytes(el.A, ref.A), index
         assert same_bytes(el.b0, ref.b0), index
     for name in ("kinds", "b0", "rep"):
         assert same_bytes(getattr(loaded, name), getattr(reference, name)), name
@@ -184,6 +202,44 @@ class TestStackedLoader:
             entry["centroid"] = [float(index), 0.5, -1.0]
         loaded, _ = assert_identical(document(objects))
         assert loaded.kinds.tolist() == [1, 2, 1]
+
+
+class TestArrayWriter:
+    """scan_to_dict writes from the stacked arrays, byte-identical to the per-element writer."""
+
+    def assert_writes_like_reference(self, objects, centroids=None):
+        scan = Scan.from_elements("w", objects, centroids)
+        assert json.dumps(scan_to_dict(scan)) == json.dumps(reference_to_dict("w", objects, centroids))
+
+    def test_random_lines_and_planes(self):
+        rng = np.random.default_rng(21)
+        for trial in range(40):
+            objects = []
+            for _ in range(int(rng.integers(0, 30))):
+                v = rng.normal(size=3)
+                if rng.uniform() < 0.4:
+                    objects.append(from_pd(LinePD(v, rng.uniform(-100, 100, 3))))
+                else:
+                    objects.append(from_hesse(PlaneHesse(v, float(rng.uniform(-50, 50)))))
+            centroids = rng.normal(size=(len(objects), 3)) if trial % 2 else None
+            self.assert_writes_like_reference(objects, centroids)
+
+    def test_moved_elements(self):
+        # bases that are not from_hesse's, with normals facing away from b0
+        rng = np.random.default_rng(22)
+        T = RigidTransform(rotation_about_axis([0.3, -1.0, 0.4], 2.5), np.array([-4.0, 9.0, 1.0]))
+        objects = [from_hesse(PlaneHesse(rng.normal(size=3), float(rng.uniform(-9, 9)))).transformed(T) for _ in range(30)]
+        objects += [from_pd(LinePD(rng.normal(size=3), rng.normal(size=3))).transformed(T) for _ in range(10)]
+        self.assert_writes_like_reference(objects)
+
+    def test_zero_offsets_with_negative_leading_entry(self):
+        normals = [[-1, 0, 0], [0, -0.6, 0.8], [0, 0, -1], [-0.6, 0.8, 0], [0.6, -0.8, 0]] + AXES
+        objects = [from_hesse(PlaneHesse(n, d)) for n in normals for d in (0.0, -0.0, 2.0)]
+        # the same planes with their basis columns swapped, which flips the
+        # normal from the basis: through the origin, some start negative
+        objects += [GraffElement(el.A[:, ::-1], el.b0) for el in objects]
+        assert any(to_hesse(el).d == 0.0 and np.cross(el.A[:, 0], el.A[:, 1])[0] < 0 for el in objects)
+        self.assert_writes_like_reference(objects)
 
 
 class TestNumberFields:
