@@ -4,7 +4,9 @@ Given a symmetric affinity matrix M with unit diagonal, select the binary
 indicator u maximizing the density u'Mu / u'u subject to the hard constraint
 that no two selected entries have M(i,j) = 0.  The continuous relaxation is
 solved on the nonnegative unit sphere with a geometrically growing penalty
-on constraint violations, then rounded greedily.  Each ascent step works on
+on constraint violations, then rounded greedily; the multi-start rule grows
+its best-first starts as one batched state and screens every local-search
+move on running sums before its exact test.  Each ascent step works on
 the working set supp(u) | {gradient > 0}, so only those rows of the
 penalized matrix are formed (and applied off the set only when a Lipschitz
 bound stops certifying the gradient there <= 0), and the penalty loop stops
@@ -35,6 +37,7 @@ _TOL = 1e-8  # convergence threshold on iterate change
 _INITIAL_PENALTY = 0.25
 _PENALTY_GROWTH = 1.6
 _VALIDATE_ROWS = 64  # validation temporaries stay _VALIDATE_ROWS x m, not m x m
+_STARTS = 16  # best-first rounding starts, seeded at the largest entries of u
 
 
 ROUNDING_RULES = ("greedy_density", "mass_capped")
@@ -77,11 +80,10 @@ def binarize_constraints(M: np.ndarray) -> np.ndarray:
 
 
 def _binary_density(M: np.ndarray, indices) -> float:
-    idx = list(indices)
-    if not idx:
+    idx = np.asarray(indices, dtype=np.intp)
+    if not idx.size:
         return 0.0
-    sub = M[np.ix_(idx, idx)]
-    return float(sub.sum() / len(idx))
+    return float(M[idx[:, None], idx].sum() / idx.size)
 
 
 def _power_init(M: np.ndarray) -> np.ndarray:
@@ -186,96 +188,137 @@ def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g):
     return u, g, moved
 
 
-def _round_greedy(u: np.ndarray, M: np.ndarray, edges: np.ndarray, cap: int | None) -> tuple[int, ...]:
-    """Greedy rounding: take indices by decreasing u while the running set
-    stays pairwise feasible and its density keeps improving."""
-    m = u.shape[0]
-    order = np.lexsort((np.arange(m), -u))
+def _round_greedy(order: np.ndarray, M: np.ndarray, edges: np.ndarray, cap: int | None) -> tuple[int, ...]:
+    """Greedy rounding: take indices in `order` (decreasing u) while the
+    running set stays pairwise feasible and its density keeps improving."""
+    feasible = np.ones(order.size, dtype=bool)
     selected: list[int] = []
-    weight_sum = 0.0
-    density = 0.0
-    for v in order:
-        if cap is not None and len(selected) >= cap:
+    weight_sum = density = 0.0
+    while order.size and (cap is None or len(selected) < cap):
+        ahead = feasible[order]
+        k = int(ahead.argmax())
+        if not ahead[k]:
             break
-        if selected and not edges[v, selected].all():
-            continue
+        v = int(order[k])
         new_sum = weight_sum + 1.0 + (2.0 * float(M[v, selected].sum()) if selected else 0.0)
         new_density = new_sum / (len(selected) + 1)
         if selected and new_density < density - 1e-12:
             break
-        selected.append(int(v))
+        selected.append(v)
+        feasible &= edges[v]
         weight_sum, density = new_sum, new_density
+        order = order[k + 1 :]
     return tuple(sorted(selected))
 
 
-def _best_first_from(v0: int, M: np.ndarray, edges: np.ndarray) -> tuple[int, ...]:
-    """Grow a feasible set from one seed, always adding the best density gain."""
-    S = [int(v0)]
-    weight_sum = 1.0
-    while True:
-        feasible = edges[:, S].all(axis=1)
-        feasible[S] = False
-        idxs = np.nonzero(feasible)[0]
-        if idxs.size == 0:
-            break
-        gains = 1.0 + 2.0 * M[np.ix_(idxs, S)].sum(axis=1)
-        densities = (weight_sum + gains) / (len(S) + 1)
-        k = int(np.argmax(densities))
-        if densities[k] <= weight_sum / len(S) + 1e-12:
-            break
-        S.append(int(idxs[k]))
-        weight_sum += float(gains[k])
-    return tuple(sorted(S))
+def _best_first(seeds: np.ndarray, M: np.ndarray, edges: np.ndarray, slack: float) -> list[tuple[int, ...]]:
+    """Grow a feasible set from each seed, always adding the best density
+    gain; all seeds step together, one row of state each.
+
+    H is 1 + the running sum of M over a row's set and F its feasible
+    vertices.  H ranks candidates; the chosen gain and any candidate within
+    `slack` of the best are summed again over the set in insertion order,
+    so each set grows as if alone.
+    """
+    found = {}
+    live = rows = np.arange(seeds.size)
+    S = seeds[:, None]  # members in insertion order
+    weight = np.ones(seeds.size)
+    F = edges[seeds]
+    F[rows, seeds] = False
+    H = M[seeds] + 1.0  # > 0 wherever F holds: edge weights are > 0
+    while live.size:
+        n = S.shape[1]
+        A = H * F
+        k = A.argmax(axis=1)
+        top = A[rows, k]
+        A[rows, k] = 0.0
+        F[rows, k] = False
+        for r in (A.max(axis=1) >= top - slack).nonzero()[0]:  # near ties, or no candidate
+            if top[r] > 0.0:
+                near = np.union1d((A[r] >= top[r] - slack).nonzero()[0], k[r])
+                dens = (weight[r] + (1.0 + 2.0 * M[near[:, None], S[r]].sum(axis=1))) / (n + 1)
+                F[r, k[r]] = True
+                k[r] = near[dens.argmax()]
+                F[r, k[r]] = False
+        gains = 1.0 + 2.0 * M[k[:, None], S].sum(axis=1)
+        grow = (top > 0.0) & ((weight + gains) / (n + 1) > weight / n + 1e-12)
+        if not grow.all():
+            found.update((int(live[r]), tuple(sorted(S[r].tolist()))) for r in (~grow).nonzero()[0])
+            live, S, k, weight, gains, F, H = live[grow], S[grow], k[grow], weight[grow], gains[grow], F[grow], H[grow]
+            rows = np.arange(live.size)
+        weight += gains
+        S = np.concatenate([S, k[:, None]], axis=1)
+        F &= edges[k]
+        H += M[k]
+    return [found[r] for r in range(seeds.size)]
 
 
-def _local_improve(selected: tuple[int, ...], M: np.ndarray, edges: np.ndarray) -> tuple[int, ...]:
-    """Deterministic add/drop hill climbing on the density objective."""
-    m = M.shape[0]
-    S = set(selected)
+def _local_improve(selected: tuple[int, ...], M: np.ndarray, edges: np.ndarray, slack: float) -> tuple[int, ...]:
+    """Deterministic add/drop hill climbing on the density objective.
+
+    Each pass screens all its candidates at once on running sums of M,
+    loose by `slack`, and runs the exact one-vertex test on screen hits only.
+    """
+    S = list(selected)  # kept sorted
     for _ in range(50):
-        changed = False
-        members = sorted(S)
-        density = _binary_density(M, members)
-        weight_sum = density * len(members)
-        for v in range(m):
-            if v in S or not edges[v, members].all():
-                continue
-            gain = 1.0 + 2.0 * float(M[v, members].sum())
-            if (weight_sum + gain) / (len(members) + 1) > density + 1e-12:
-                S.add(v)
-                members = sorted(S)
-                weight_sum += gain
-                density = weight_sum / len(members)
-                changed = True
-        for v in sorted(S):
-            if len(S) == 1:
+        n, changed = len(S), False
+        density = _binary_density(M, S)
+        weight_sum = density * n
+        members = np.array(S)
+        feasible = edges[members].all(axis=0)
+        feasible[members] = False
+        cand = feasible.nonzero()[0]
+        sums = M[members[:, None], cand].sum(axis=0)
+        while True:  # add pass, in index order
+            hit = ((weight_sum + (1.0 + 2.0 * sums)) / (n + 1) > density + (1e-12 - slack)).nonzero()[0]
+            if not hit.size:
                 break
-            others = sorted(S - {v})
+            v, rest = int(cand[hit[0]]), slice(hit[0] + 1, None)
+            cand, sums = cand[rest], sums[rest]
+            gain = 1.0 + 2.0 * float(M[v, S].sum())
+            if (weight_sum + gain) / (n + 1) > density + 1e-12:
+                S, n, weight_sum, changed = sorted(S + [v]), n + 1, weight_sum + gain, True
+                density = weight_sum / n
+                keep = edges[v, cand]
+                cand, sums = cand[keep], sums[keep] + M[v, cand[keep]]
+        members = np.array(S)
+        sums = M[members[:, None], members].sum(axis=0)
+        while n > 1:  # drop pass, over the members at its start
+            hit = ((weight_sum - (2.0 * sums - 1.0)) / (n - 1) > density + (1e-12 - slack)).nonzero()[0]
+            if not hit.size:
+                break
+            v, rest = int(members[hit[0]]), slice(hit[0] + 1, None)
+            members, sums = members[rest], sums[rest]
+            others = [s for s in S if s != v]
             loss = 1.0 + 2.0 * float(M[v, others].sum())
-            if (weight_sum - loss) / (len(S) - 1) > density + 1e-12:
-                S.remove(v)
-                weight_sum -= loss
-                density = weight_sum / len(S)
-                members = others
-                changed = True
+            if (weight_sum - loss) / (n - 1) > density + 1e-12:
+                S, n, weight_sum, changed = others, n - 1, weight_sum - loss, True
+                density = weight_sum / n
+                sums = sums - M[v, members]
         if not changed:
             break
-    return tuple(sorted(S))
+    return tuple(S)
 
 
 def _round(u: np.ndarray, M: np.ndarray, edges: np.ndarray, rounding: str) -> tuple[int, ...]:
     """Round the relaxed iterate to a feasible index set by the given rule."""
+    m = u.shape[0]
+    order = np.lexsort((np.arange(m), -u))
     if rounding == "mass_capped":
-        return _round_greedy(u, M, edges, cap=max(1, int(round(float(u @ (M @ u))))))
+        return _round_greedy(order, M, edges, cap=max(1, int(round(float(u @ (M @ u))))))
     # Multi-start: the greedy prefix of u plus best-first growth from the
     # strongest seeds, each refined locally; densest result wins, ties
-    # broken by the lexicographically smallest index set.
-    order = np.lexsort((np.arange(u.shape[0]), -u))
-    proposals = [_local_improve(_round_greedy(u, M, edges, None), M, edges)]
-    proposals += [_local_improve(_best_first_from(v, M, edges), M, edges) for v in order[:16]]
+    # broken by the lexicographically smallest index set.  A screen sums at
+    # most 2m entries of M, each in [-1e-12, 1], in its own order, so its
+    # densities stay within `slack` of those the exact tests compute.
+    slack = 32.0 * (m + 2) ** 2 * np.finfo(float).eps
+    raw = [_round_greedy(order, M, edges, None), *_best_first(order[:_STARTS], M, edges, slack)]
+    improved = {prop: _local_improve(prop, M, edges, slack) for prop in dict.fromkeys(raw)}
+    densities = {prop: _binary_density(M, prop) for prop in set(improved.values())}
     best = None
-    for prop in proposals:
-        density = _binary_density(M, prop)
+    for prop in (improved[p] for p in raw):
+        density = densities[prop]
         if best is None or density > best[0] + 1e-12 or (abs(density - best[0]) <= 1e-12 and prop < best[1]):
             best = (density, prop)
     return best[1]
@@ -287,12 +330,15 @@ def solve_densest(M: np.ndarray, rounding: str = "greedy_density") -> Selection:
     Deterministic: initialization is a power iteration from the all-ones
     vector, stopped at `_TOL`, and every tie is broken by index order.
 
-    Rounding rules: "greedy_density" chases the raw density objective
-    (multi-start rounding plus local refinement); "mass_capped" rounds the
-    u-ordered greedy prefix capped at the relaxation's mass estimate u'Mu,
-    which suppresses weakly-attached vertices.  The latter suits
-    correspondence selection, where a weak hanger-on can raise density yet
-    is far likelier spurious than the core set.
+    Rounding rules: "greedy_density" chases the raw density objective (the
+    u-ordered greedy prefix and best-first growth from the 16 largest
+    entries of u, grown together in one batched pass, each refined by
+    add/drop local search); "mass_capped" rounds the u-ordered greedy prefix
+    capped at the relaxation's mass estimate u'Mu, which suppresses
+    weakly-attached vertices.  The latter suits correspondence selection,
+    where a weak hanger-on can raise density yet is far likelier spurious
+    than the core set.  Rounding reads rows of M for its columns, so M must
+    be symmetric, as `build_affinity` makes it.
     """
     if rounding not in ROUNDING_RULES:
         raise ValueError(f"unknown rounding rule {rounding!r}")

@@ -229,15 +229,22 @@ def stiefel_coordinates(el: GraffElement, rho: float) -> np.ndarray:
 def principal_angles(Y1: np.ndarray, Y2: np.ndarray) -> np.ndarray:
     """Principal angles (ascending, radians) between two orthonormal frames.
 
-    Singular values are clamped to [0, 1] before arccos so rounding noise
-    can never produce NaN.
+    Angles below pi/4 come from their sines, the singular values of
+    Y2 - Y1 Y1'Y2 with Y2 the frame of fewer columns, and the rest from
+    their cosines, the singular values of Y1'Y2.  Each is read where its
+    inverse is well conditioned, so equal subspaces give 0, not the ~1.5e-8
+    floor of arccos near 1.  Both are clamped to [0, 1] first.
     """
     Y1 = np.asarray(Y1, dtype=float)
     Y2 = np.asarray(Y2, dtype=float)
     if Y1.shape[0] != Y2.shape[0]:
         raise ValueError(f"row counts differ: {Y1.shape[0]} vs {Y2.shape[0]}")
-    sigma = np.linalg.svd(Y1.T @ Y2, compute_uv=False)
-    return np.arccos(np.clip(sigma, 0.0, 1.0))
+    if Y1.shape[1] < Y2.shape[1]:
+        Y1, Y2 = Y2, Y1
+    C = Y1.T @ Y2
+    cos = np.clip(np.linalg.svd(C, compute_uv=False), 0.0, 1.0)
+    sin = np.clip(np.linalg.svd(Y2 - Y1 @ C, compute_uv=False)[::-1], 0.0, 1.0)
+    return np.where(sin < cos, np.arcsin(sin), np.arccos(cos))
 
 
 def graff_distance(el1: GraffElement, el2: GraffElement, rho: float) -> float:
@@ -284,8 +291,7 @@ def shifted_principal_angles(el1: GraffElement, el2: GraffElement, rho: float) -
     """
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    sigma = np.linalg.svd(el1.A.T @ el2.A, compute_uv=False)
-    th_dir = np.arccos(np.clip(sigma, 0.0, 1.0))
+    th_dir = principal_angles(el1.A, el2.A)
     th_aff = np.arctan(subspace_gap(el1, el2) / rho)
     return np.sort(np.append(th_dir, th_aff))
 
@@ -304,8 +310,7 @@ def shifted_graff_distance(el1: GraffElement, el2: GraffElement, rho: float) -> 
 
 def grassmann_distance(el1: GraffElement, el2: GraffElement) -> float:
     """Distance between the direction subspaces only (offsets ignored)."""
-    sigma = np.linalg.svd(el1.A.T @ el2.A, compute_uv=False)
-    th = np.arccos(np.clip(sigma, 0.0, 1.0))
+    th = principal_angles(el1.A, el2.A)
     return float(np.sqrt(th @ th))
 
 

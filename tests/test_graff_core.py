@@ -121,6 +121,32 @@ class TestPrincipalAngles:
         with pytest.raises(ValueError):
             principal_angles(np.eye(4)[:, :2], np.eye(3)[:, :2])
 
+    def test_equal_directions_give_zero_not_the_arccos_floor(self):
+        # arccos of a singular value one ulp below 1 is ~1.5e-8 rad; every
+        # case below read 1.49e-8 or 2.58e-8 that way.
+        d = np.array([0.1, 0.2, 0.7]) / np.linalg.norm([0.1, 0.2, 0.7])
+        p = np.array([1.0, 2.0, 3.0])
+        line = from_pd(LinePD(d, p))
+        plane = from_hesse(PlaneHesse(d, 2.5))
+        assert graff_distance(line, from_pd(LinePD(d, p + 5.3 * d)), 40.0) < 1e-15
+        assert grassmann_distance(line, from_pd(LinePD(-d, p))) < 1e-15
+        assert shifted_principal_angles(line, from_pd(LinePD(d, [4.0, -2.0, 3.0])), 40.0)[0] < 1e-15
+        for distance in (graff_distance, shifted_graff_distance):
+            assert distance(plane, plane, 40.0) < 1e-15
+        assert grassmann_distance(plane, plane) < 1e-15
+
+    def test_agrees_with_arccos_of_cosines_away_from_zero(self):
+        rng = np.random.default_rng(15)
+        compared = 0
+        for _ in range(300):
+            a, b = random_element(rng), random_element(rng)
+            for Y1, Y2 in ((stiefel_coordinates(a, 40.0), stiefel_coordinates(b, 40.0)), (a.A, b.A), (b.A, a.A)):
+                arccos = np.arccos(np.clip(np.linalg.svd(Y1.T @ Y2, compute_uv=False), 0.0, 1.0))
+                far = arccos > 1e-6
+                assert np.all(np.abs(principal_angles(Y1, Y2) - arccos)[far] <= 1e-9)
+                compared += np.count_nonzero(far)
+        assert compared > 900
+
 
 class TestGraffDistance:
     def test_zero_for_identical(self):

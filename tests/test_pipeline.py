@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_line, random_plane, random_transform, rot_angle_rad
+from conftest import LADDER, ladder_pair, random_line, random_plane, random_transform, rot_angle_rad
 from graffassoc import (
     CampaignConfig,
     ConsistencyParams,
@@ -219,20 +219,11 @@ def test_swapping_the_scans_permutes_affinity_and_selection(seed, fn):
     assert abs(sel_swap.objective - sel.objective) <= 1e-12
 
 
-# (direction noise deg, offset noise m, clutter, overlap), the match_small ladder.
-LADDER = [(0.5 + 1.5 * f, 0.05 + 0.15 * f, int(round(3 + 11 * f)), 0.8 - 0.2 * f) for f in (0.0, 0.25, 0.5, 0.75, 1.0)]
-
-
 @pytest.mark.parametrize("rung", range(len(LADDER)))
 def test_pipeline_selects_with_mass_capped_rounding(rung, monkeypatch):
     # The two rounding rules pick different sets on every rung, so the
     # selection the pipeline reduces to one-to-one pins its rule.
-    noise_deg, noise_m, clutter, overlap = LADDER[rung]
-    pair = make_loop_pair(
-        generate_scene(SceneConfig(n_lines=4, n_planes=10, seed=rung)),
-        PairConfig(baseline_m=8.0, overlap=overlap, clutter=clutter, noise_dir_rad=np.radians(noise_deg),
-                   noise_disp_m=noise_m, seed=1000 + rung),
-    )
+    pair = ladder_pair(rung)
     reduced = []
     unique = pipeline.unique_matches
 
