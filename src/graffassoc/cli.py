@@ -194,7 +194,10 @@ def parse_campaign_config(path) -> CampaignConfig:
             values[key] = _config_value(_CONFIG_DEFAULTS[key], value)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from None
-    return CampaignConfig(**values)
+    try:
+        return CampaignConfig(**values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _record_row(record: TrialRecord) -> list[str]:

@@ -4,9 +4,9 @@ Given a symmetric affinity matrix M with unit diagonal, select the binary
 indicator u maximizing the density u'Mu / u'u subject to the hard constraint
 that no two selected entries have M(i,j) = 0.  The continuous relaxation is
 solved on the nonnegative unit sphere with a geometrically growing penalty
-on constraint violations, then rounded greedily; the multi-start rule grows
-its best-first starts as one batched state and screens every local-search
-move on running sums before its exact test.  Each ascent step works on
+on constraint violations, then rounded greedily; the multi-start rule
+climbs from all its start sets at once, by steepest ascent on running sums,
+and ranks tied candidates by u, never by label.  Each ascent step works on
 the working set supp(u) | {gradient > 0}, so only those rows of the
 penalized matrix are formed (and applied off the set only when a Lipschitz
 bound stops certifying the gradient there <= 0), and the penalty loop stops
@@ -37,7 +37,7 @@ _TOL = 1e-8  # convergence threshold on iterate change
 _INITIAL_PENALTY = 0.25
 _PENALTY_GROWTH = 1.6
 _VALIDATE_ROWS = 64  # validation temporaries stay _VALIDATE_ROWS x m, not m x m
-_STARTS = 16  # best-first rounding starts, seeded at the largest entries of u
+_STARTS = 16  # one-candidate rounding starts, the best-ranked candidates
 
 
 ROUNDING_RULES = ("greedy_density", "mass_capped")
@@ -188,9 +188,10 @@ def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g):
     return u, g, moved
 
 
-def _round_greedy(order: np.ndarray, M: np.ndarray, edges: np.ndarray, cap: int | None) -> tuple[int, ...]:
+def _round_greedy(order: np.ndarray, M: np.ndarray, edges: np.ndarray, cap: int | None) -> list[int]:
     """Greedy rounding: take indices in `order` (decreasing u) while the
-    running set stays pairwise feasible and its density keeps improving."""
+    running set stays pairwise feasible and its density keeps improving;
+    returns them in the order taken."""
     feasible = np.ones(order.size, dtype=bool)
     selected: list[int] = []
     weight_sum = density = 0.0
@@ -208,137 +209,105 @@ def _round_greedy(order: np.ndarray, M: np.ndarray, edges: np.ndarray, cap: int 
         feasible &= edges[v]
         weight_sum, density = new_sum, new_density
         order = order[k + 1 :]
-    return tuple(sorted(selected))
+    return selected
 
 
-def _best_first(seeds: np.ndarray, M: np.ndarray, edges: np.ndarray, slack: float) -> list[tuple[int, ...]]:
-    """Grow a feasible set from each seed, always adding the best density
-    gain; all seeds step together, one row of state each.
+def _best_ranked(A: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """Column of each row's largest entry, a tie going to the smallest rank."""
+    k = A.argmax(axis=1)
+    for r in np.flatnonzero(k != A.shape[1] - 1 - A[:, ::-1].argmax(axis=1)):
+        tied = np.flatnonzero(A[r] == A[r, k[r]])
+        k[r] = tied[rank[tied].argmin()]
+    return k
 
-    H is 1 + the running sum of M over a row's set and F its feasible
-    vertices.  H ranks candidates; the chosen gain and any candidate within
-    `slack` of the best are summed again over the set in insertion order,
-    so each set grows as if alone.
+
+def _climb(starts: list[list[int]], rank: np.ndarray, M: np.ndarray, edges: np.ndarray) -> tuple[int, ...]:
+    """Steepest ascent of the density from each start set, all rows stepping
+    together; the densest end wins, a near tie (1e-12) going to the earlier start.
+
+    Row state: set S, H its running sums of M, F its feasible non-members,
+    weight W and size n.  A step takes the best add (the feasible non-member
+    of largest H) or the best drop (the member of smallest H), whichever
+    leaves the larger density, a tie in H going to the better `rank`; a row
+    stops when that is not more than 1e-12 above its density.  Rows first
+    grow by adds alone (cheaper steps), then climb by adds and drops.  Sums
+    run in the order members joined, each start given in rank order, so no
+    decision reads a label.
     """
-    found = {}
-    live = rows = np.arange(seeds.size)
-    S = seeds[:, None]  # members in insertion order
-    weight = np.ones(seeds.size)
-    F = edges[seeds]
-    F[rows, seeds] = False
-    H = M[seeds] + 1.0  # > 0 wherever F holds: edge weights are > 0
-    while live.size:
-        n = S.shape[1]
-        A = H * F
-        k = A.argmax(axis=1)
-        top = A[rows, k]
-        A[rows, k] = 0.0
-        F[rows, k] = False
-        for r in (A.max(axis=1) >= top - slack).nonzero()[0]:  # near ties, or no candidate
-            if top[r] > 0.0:
-                near = np.union1d((A[r] >= top[r] - slack).nonzero()[0], k[r])
-                dens = (weight[r] + (1.0 + 2.0 * M[near[:, None], S[r]].sum(axis=1))) / (n + 1)
-                F[r, k[r]] = True
-                k[r] = near[dens.argmax()]
-                F[r, k[r]] = False
-        gains = 1.0 + 2.0 * M[k[:, None], S].sum(axis=1)
-        grow = (top > 0.0) & ((weight + gains) / (n + 1) > weight / n + 1e-12)
-        if not grow.all():
-            found.update((int(live[r]), tuple(sorted(S[r].tolist()))) for r in (~grow).nonzero()[0])
-            live, S, k, weight, gains, F, H = live[grow], S[grow], k[grow], weight[grow], gains[grow], F[grow], H[grow]
-            rows = np.arange(live.size)
-        weight += gains
-        S = np.concatenate([S, k[:, None]], axis=1)
-        F &= edges[k]
-        H += M[k]
-    return [found[r] for r in range(seeds.size)]
+    S = np.zeros((len(starts), rank.size), dtype=bool)
+    for s, start in zip(S, starts):
+        s[start] = True
+    H = np.stack([M[start].sum(axis=0) for start in starts])
+    F = np.stack([edges[start].all(axis=0) for start in starts]) & ~S
+    W = np.array([h[start].sum() for h, start in zip(H, starts)])
+    state = [S, H, F, W, S.sum(axis=1)]  # rows are written back here as they stop
+    for drops in (False, True):
+        live, (S, H, F, W, n) = np.arange(len(starts)), state
+        while live.size:
+            r = np.arange(live.size)
+            gains = np.where(F, H, -np.inf)
+            add = _best_ranked(gains, rank)
+            grown = W + 1.0 + 2.0 * gains[r, add]  # -inf where no candidate is feasible
+            up, drop, shrunk, down = grown / (n + 1), add, grown, -np.inf
+            if drops:
+                losses = np.where(S, H, np.inf)
+                drop = _best_ranked(np.negative(losses, out=losses), rank)
+                shrunk = W + 1.0 - 2.0 * H[r, drop]
+                down = np.where(n > 1, shrunk / np.maximum(n - 1, 1), -np.inf)
+            grow = up >= down
+            go = np.where(grow, up, down) > W / n + 1e-12
+            if not go.all():
+                for full, rows in zip(state, (S, H, F, W, n)):
+                    full[live[~go]] = rows[~go]
+                live, S, H, F, W, n = live[go], S[go], H[go], F[go], W[go], n[go]
+                r, add, drop, grow, grown, shrunk = r[: live.size], add[go], drop[go], grow[go], grown[go], shrunk[go]
+            k = np.where(grow, add, drop)
+            S[r, k] = grow
+            rows = M[k]
+            rows[~grow] *= -1.0
+            H += rows
+            F &= edges[k]
+            F[r, k] = False
+            for i in np.flatnonzero(~grow):  # a drop can free candidates the dropped member blocked
+                F[i] = edges[S[i]].all(axis=0) & ~S[i]
+            W, n = np.where(grow, grown, shrunk), n + np.where(grow, 1, -1)
+    S, _, _, W, n = state
+    density = W / n
+    return tuple(np.flatnonzero(S[int(np.argmax(density >= density.max() - 1e-12))]).tolist())
 
 
-def _local_improve(selected: tuple[int, ...], M: np.ndarray, edges: np.ndarray, slack: float) -> tuple[int, ...]:
-    """Deterministic add/drop hill climbing on the density objective.
+def _round(u: np.ndarray, u0: np.ndarray, M: np.ndarray, edges: np.ndarray, rounding: str) -> tuple[int, ...]:
+    """Round the relaxed iterate to a feasible index set by the given rule.
 
-    Each pass screens all its candidates at once on running sums of M,
-    loose by `slack`, and runs the exact one-vertex test on screen hits only.
+    Candidates are ranked by u, then by the power-init vector u0, then by
+    index, so ties in u (every u = 0, say) go by values, not labels.
     """
-    S = list(selected)  # kept sorted
-    for _ in range(50):
-        n, changed = len(S), False
-        density = _binary_density(M, S)
-        weight_sum = density * n
-        members = np.array(S)
-        feasible = edges[members].all(axis=0)
-        feasible[members] = False
-        cand = feasible.nonzero()[0]
-        sums = M[members[:, None], cand].sum(axis=0)
-        while True:  # add pass, in index order
-            hit = ((weight_sum + (1.0 + 2.0 * sums)) / (n + 1) > density + (1e-12 - slack)).nonzero()[0]
-            if not hit.size:
-                break
-            v, rest = int(cand[hit[0]]), slice(hit[0] + 1, None)
-            cand, sums = cand[rest], sums[rest]
-            gain = 1.0 + 2.0 * float(M[v, S].sum())
-            if (weight_sum + gain) / (n + 1) > density + 1e-12:
-                S, n, weight_sum, changed = sorted(S + [v]), n + 1, weight_sum + gain, True
-                density = weight_sum / n
-                keep = edges[v, cand]
-                cand, sums = cand[keep], sums[keep] + M[v, cand[keep]]
-        members = np.array(S)
-        sums = M[members[:, None], members].sum(axis=0)
-        while n > 1:  # drop pass, over the members at its start
-            hit = ((weight_sum - (2.0 * sums - 1.0)) / (n - 1) > density + (1e-12 - slack)).nonzero()[0]
-            if not hit.size:
-                break
-            v, rest = int(members[hit[0]]), slice(hit[0] + 1, None)
-            members, sums = members[rest], sums[rest]
-            others = [s for s in S if s != v]
-            loss = 1.0 + 2.0 * float(M[v, others].sum())
-            if (weight_sum - loss) / (n - 1) > density + 1e-12:
-                S, n, weight_sum, changed = others, n - 1, weight_sum - loss, True
-                density = weight_sum / n
-                sums = sums - M[v, members]
-        if not changed:
-            break
-    return tuple(S)
-
-
-def _round(u: np.ndarray, M: np.ndarray, edges: np.ndarray, rounding: str) -> tuple[int, ...]:
-    """Round the relaxed iterate to a feasible index set by the given rule."""
     m = u.shape[0]
-    order = np.lexsort((np.arange(m), -u))
+    order = np.lexsort((np.arange(m), -u0, -u))
     if rounding == "mass_capped":
-        return _round_greedy(order, M, edges, cap=max(1, int(round(float(u @ (M @ u))))))
-    # Multi-start: the greedy prefix of u plus best-first growth from the
-    # strongest seeds, each refined locally; densest result wins, ties
-    # broken by the lexicographically smallest index set.  A screen sums at
-    # most 2m entries of M, each in [-1e-12, 1], in its own order, so its
-    # densities stay within `slack` of those the exact tests compute.
-    slack = 32.0 * (m + 2) ** 2 * np.finfo(float).eps
-    raw = [_round_greedy(order, M, edges, None), *_best_first(order[:_STARTS], M, edges, slack)]
-    improved = {prop: _local_improve(prop, M, edges, slack) for prop in dict.fromkeys(raw)}
-    densities = {prop: _binary_density(M, prop) for prop in set(improved.values())}
-    best = None
-    for prop in (improved[p] for p in raw):
-        density = densities[prop]
-        if best is None or density > best[0] + 1e-12 or (abs(density - best[0]) <= 1e-12 and prop < best[1]):
-            best = (density, prop)
-    return best[1]
+        return tuple(sorted(_round_greedy(order, M, edges, cap=max(1, int(round(float(u @ (M @ u))))))))
+    # Starts: the greedy prefix of u and each of the _STARTS best-ranked candidates alone.
+    starts = [_round_greedy(order, M, edges, None), *([v] for v in order[:_STARTS].tolist())]
+    return _climb(starts, np.argsort(order), M, edges)
 
 
 def solve_densest(M: np.ndarray, rounding: str = "greedy_density") -> Selection:
     """Approximately solve the densest-subset problem on an affinity matrix.
 
     Deterministic: initialization is a power iteration from the all-ones
-    vector, stopped at `_TOL`, and every tie is broken by index order.
+    vector, stopped at `_TOL`.  Rounding ranks candidates by u, then by that
+    power-init vector, and by index only where both tie exactly; no other
+    step reads a label.
 
-    Rounding rules: "greedy_density" chases the raw density objective (the
-    u-ordered greedy prefix and best-first growth from the 16 largest
-    entries of u, grown together in one batched pass, each refined by
-    add/drop local search); "mass_capped" rounds the u-ordered greedy prefix
-    capped at the relaxation's mass estimate u'Mu, which suppresses
-    weakly-attached vertices.  The latter suits correspondence selection,
-    where a weak hanger-on can raise density yet is far likelier spurious
-    than the core set.  Rounding reads rows of M for its columns, so M must
-    be symmetric, as `build_affinity` makes it.
+    Rounding rules: "greedy_density" chases the raw density objective
+    (steepest ascent by one-candidate adds and drops from the u-ordered
+    greedy prefix and from each of the 16 best-ranked candidates alone,
+    climbing together; the densest end wins); "mass_capped" rounds the
+    u-ordered greedy prefix capped at the relaxation's mass estimate u'Mu,
+    which suppresses weakly-attached vertices.  The latter suits
+    correspondence selection, where a weak hanger-on can raise density yet
+    is far likelier spurious than the core set.  Rounding reads rows of M
+    for its columns, so M must be symmetric, as `build_affinity` makes it.
     """
     if rounding not in ROUNDING_RULES:
         raise ValueError(f"unknown rounding rule {rounding!r}")
@@ -347,7 +316,7 @@ def solve_densest(M: np.ndarray, rounding: str = "greedy_density") -> Selection:
     if m == 0:
         return Selection((), np.zeros(0), 0.0)
     edges = binarize_constraints(M)
-    u = _power_init(M)
+    u = u0 = _power_init(M)
     g = None
     penalty = _INITIAL_PENALTY
     while penalty <= m + 1.0:
@@ -359,7 +328,7 @@ def solve_densest(M: np.ndarray, rounding: str = "greedy_density") -> Selection:
         if not moved and edges[np.ix_(W, W)].all():
             break
         penalty *= _PENALTY_GROWTH
-    indices = _round(u, M, edges, rounding)
+    indices = _round(u, u0, M, edges, rounding)
     return Selection(indices, u, _binary_density(M, indices))
 
 

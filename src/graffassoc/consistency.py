@@ -217,7 +217,12 @@ def _rep_sin_cos(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _pair_geometry(scan: Scan) -> tuple[np.ndarray, np.ndarray]:
     """Direction angle and minimal separation of every object pair (n x n
-    each, exactly 0 on the diagonal), by the closed forms of the module doc."""
+    each, exactly 0 on the diagonal), by the closed forms of the module doc.
+
+    Both are symmetric bitwise: swapping a pair negates delta and r x r'
+    exactly, and a parallel line-line or plane-plane pair reads the r of its
+    lower index.
+    """
     r, line, n = scan.rep, scan.kinds == 1, len(scan)
     cross, sin, cos = _rep_sin_cos(r)
     mixed = line[:, None] != line[None, :]
@@ -226,10 +231,10 @@ def _pair_geometry(scan: Scan) -> tuple[np.ndarray, np.ndarray]:
     delta = scan.b0[None, :, :] - scan.b0[:, None, :]
     gap = np.zeros((n, n))
     x, y = np.nonzero(lines & parallel)
-    gap[x, y] = np.linalg.norm(_cross(delta[x, y], r[x]), axis=1)  # |delta x d|, the part off d
+    gap[x, y] = np.linalg.norm(_cross(delta[x, y], r[np.minimum(x, y)]), axis=1)  # |delta x d|, the part off d
     x, y = np.nonzero(lines != parallel)  # skew lines (normal d x d') or a plane parallel to the other (n)
     skew = line[x] & line[y]
-    normal = np.where(skew[:, None], cross[x, y], np.where(line[x, None], r[y], r[x]))
+    normal = np.where(skew[:, None], cross[x, y], np.where(line[x, None], r[y], r[np.minimum(x, y)]))
     gap[x, y] = np.abs(np.einsum("pa,pa->p", delta[x, y], normal)) / np.where(skew, sin[x, y], 1.0)
     return np.arctan2(sin, cos), gap
 
@@ -270,10 +275,11 @@ def _blockwise_affinity(terms, a_idx: np.ndarray, b_idx: np.ndarray, epsilon: fl
     """Gated Gaussian affinity over candidates (a_idx[p], b_idx[p]), built in
     row blocks of the upper triangle, each mirrored into the lower one.
 
-    Term (D_i, D_j, denom) gives pair (p, q) the score C = max(|D_i[a_p, a_q]
-    - D_j[b_p, b_q]|, |D_i[a_q, a_p] - D_j[b_q, b_p]|), symmetric even where D
-    is not bitwise so, and the factor exp(-(C * C) / denom); C >= epsilon in
-    any term gates the pair to 0.  Flooring the exponent at -(epsilon *
+    Term (D_i, D_j, denom) gives pair (p, q) the score C = |D_i[a_p, a_q] -
+    D_j[b_p, b_q]| and the factor exp(-(C * C) / denom); C >= epsilon in
+    any term gates the pair to 0.  Every internal distance matrix is
+    symmetric bitwise, so (q, p) would score the same and swapping the scans
+    permutes M exactly.  Flooring the exponent at -(epsilon *
     epsilon) / denom moves no ungated entry (rounding is monotone) and keeps
     gated ones off exp's slow underflow path.
     """
@@ -286,8 +292,7 @@ def _blockwise_affinity(terms, a_idx: np.ndarray, b_idx: np.ndarray, epsilon: fl
         keep = np.ones(block.shape, dtype=bool)
         for t, (D_i, D_j, denom) in enumerate(terms):
             C = D_i[a_r][:, a_c] - D_j[b_r][:, b_c]
-            C_t = D_i.T[a_r][:, a_c] - D_j.T[b_r][:, b_c]
-            np.maximum(np.abs(C, out=C), np.abs(C_t, out=C_t), out=C)
+            np.abs(C, out=C)
             keep &= C < epsilon
             np.multiply(C, C, out=C)
             np.negative(C, out=C)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -74,8 +74,10 @@ class SceneConfig:
     def __post_init__(self):
         if self.n_lines < 0 or self.n_planes < 0:
             raise ValueError("object counts must be nonnegative")
-        if self.target_mean <= 0:
-            raise ValueError("target_mean must be positive")
+        if not 0 < self.target_mean < np.inf:  # NaN fails too
+            raise ValueError("target_mean must be positive and finite")
+        if not 0 <= self.centroid_extent < np.inf:
+            raise ValueError("centroid_extent must be nonnegative and finite")
 
     @property
     def effective_extent(self) -> float:
@@ -96,10 +98,12 @@ class PairConfig:
     def __post_init__(self):
         if not 0.0 <= self.overlap <= 1.0:
             raise ValueError("overlap must lie in [0, 1]")
-        if self.baseline_m < 0 or self.clutter < 0:
-            raise ValueError("baseline and clutter must be nonnegative")
-        if self.noise_dir_rad < 0 or self.noise_disp_m < 0:
-            raise ValueError("noise levels must be nonnegative")
+        if not 0 <= self.baseline_m < np.inf or self.clutter < 0:  # NaN fails too
+            raise ValueError("baseline and clutter must be nonnegative and finite")
+        if not (0 <= self.noise_dir_rad < np.inf and 0 <= self.noise_disp_m < np.inf):
+            raise ValueError("noise levels must be nonnegative and finite")
+        if not 0 <= self.centroid_extent < np.inf:
+            raise ValueError("centroid_extent must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -362,17 +366,33 @@ class CampaignConfig:
     def __post_init__(self):
         if self.trials <= 0:
             raise ValueError("trials must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         for tier in self.tiers:
             if tier not in TIER_TABLE:
                 raise ValueError(f"unknown tier {tier!r}; expected one of {sorted(TIER_TABLE)}")
         object.__setattr__(self, "tiers", tuple(self.tiers))
         object.__setattr__(self, "distance_fns", tuple(DistanceFn(f) for f in self.distance_fns))
-
-    def overlap_for(self, tier: str) -> float:
-        return getattr(self, f"overlap_{tier}")
-
-    def consistency_params(self) -> ConsistencyParams:
-        return ConsistencyParams(epsilon=self.epsilon, sigma=self.sigma, rho=self.rho)
+        # Built once, here, so that a bad value fails before any trial runs;
+        # each trial only sets the seeds.
+        object.__setattr__(self, "_params", ConsistencyParams(epsilon=self.epsilon, sigma=self.sigma, rho=self.rho))
+        object.__setattr__(self, "_scene", SceneConfig(
+            n_lines=self.n_lines,
+            n_planes=self.n_planes,
+            target_mean=self.target_mean,
+            centroid_extent=self.centroid_extent,
+        ))
+        object.__setattr__(self, "_pairs", {
+            tier: PairConfig(
+                baseline_m=TIER_TABLE[tier][0],
+                overlap=getattr(self, f"overlap_{tier}"),
+                clutter=self.clutter,
+                noise_dir_rad=float(np.radians(self.noise_dir_deg)),
+                noise_disp_m=self.noise_disp_m,
+                centroid_extent=self.centroid_extent,
+            )
+            for tier in self.tiers
+        })
 
 
 @dataclass(frozen=True)
@@ -392,33 +412,12 @@ def _derive_seeds(campaign_seed: int, tier_index: int, trial_index: int) -> tupl
 def _run_pair_trials(cfg: CampaignConfig, tier_index: int, trial_index: int) -> list[TrialRecord]:
     """One scene/pair, evaluated once per configured distance function."""
     tier = cfg.tiers[tier_index]
-    baseline, _ = TIER_TABLE[tier]
     scene_seed, pair_seed = _derive_seeds(cfg.seed, tier_index, trial_index)
-    scene = generate_scene(
-        SceneConfig(
-            n_lines=cfg.n_lines,
-            n_planes=cfg.n_planes,
-            target_mean=cfg.target_mean,
-            centroid_extent=cfg.centroid_extent,
-            seed=scene_seed,
-        )
-    )
-    pair = make_loop_pair(
-        scene,
-        PairConfig(
-            baseline_m=baseline,
-            overlap=cfg.overlap_for(tier),
-            clutter=cfg.clutter,
-            noise_dir_rad=float(np.radians(cfg.noise_dir_deg)),
-            noise_disp_m=cfg.noise_disp_m,
-            centroid_extent=cfg.centroid_extent,
-            seed=pair_seed,
-        ),
-    )
-    params = cfg.consistency_params()
+    scene = generate_scene(replace(cfg._scene, seed=scene_seed))
+    pair = make_loop_pair(scene, replace(cfg._pairs[tier], seed=pair_seed))
     label = f"{cfg.seed}.{tier_index}.{trial_index}"
     return [
-        TrialRecord(label, tier, fn, trial_index, run_trial(pair, params, fn))
+        TrialRecord(label, tier, fn, trial_index, run_trial(pair, cfg._params, fn))
         for fn in cfg.distance_fns
     ]
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -467,6 +468,26 @@ class TestBenchCommand:
         cfg.write_text("unknown_key = 5\n")
         assert main(["bench", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("clutter", "-1", "baseline and clutter must be nonnegative and finite"),
+            ("overlap_hard", "1.5", r"overlap must lie in \[0, 1\]"),
+            ("n_lines", "-2", "object counts must be nonnegative"),
+            ("noise_disp_m", "-0.1", "noise levels must be nonnegative and finite"),
+            ("rho", "-1", "epsilon, sigma and rho must all be positive"),
+            ("noise_dir_deg", "nan", "noise levels must be nonnegative and finite"),
+        ],
+        ids=["clutter", "overlap_hard", "n_lines", "noise_disp_m", "rho", "noise_dir_deg"],
+    )
+    def test_bad_config_value_fails_before_any_trial(self, tmp_path, capsys, key, value, message):
+        cfg = tmp_path / "c.txt"
+        self._write_config(cfg, tiers="easy,medium,hard", **{key: value})
+        out = tmp_path / "o"
+        assert main(["bench", str(cfg), "--out", str(out)]) == 1
+        assert re.fullmatch(f"error: {re.escape(str(cfg))}: {message}\n", capsys.readouterr().err)
+        assert not out.exists()
 
     def test_config_parser(self, tmp_path):
         cfg = tmp_path / "c.txt"

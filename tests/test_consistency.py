@@ -78,6 +78,19 @@ def near_parallel_pairs(rng):
                 yield *build(*random_rotation(rng).T, rng.uniform(-30.0, 30.0, 3)), t
 
 
+def parallel_objects():
+    """Three lines along d, -d and 2d and two planes with normals +-d/|d|."""
+    d = np.array([0.1, 0.2, 0.7])  # r . r rounds below 1 here, where arccos reads 2.6e-8
+    n = d / np.linalg.norm(d)
+    return (
+        from_pd(LinePD(d, [1.0, 2.0, 3.0])),
+        from_pd(LinePD(-d, [0.0, 5.0, -1.0])),
+        from_pd(LinePD(2.0 * d, [4.0, 0.0, 0.0])),
+        from_hesse(PlaneHesse(n, 2.0)),
+        from_hesse(PlaneHesse(-n, 7.0)),
+    )
+
+
 def scan_arrays(**changes):
     """Arrays of a valid two-line, one-plane scan, with some replaced."""
     fields = dict(
@@ -313,16 +326,7 @@ class TestInternalDistanceMatrix:
         assert np.max(np.abs(_rep_vector_angle_matrix(scan) - oracle)) <= 1e-12
 
         # Representatives equal up to sign: exactly 0.
-        d = np.array([0.1, 0.2, 0.7])  # r . r rounds below 1 here, where arccos reads 2.6e-8
-        n = d / np.linalg.norm(d)
-        objects = (
-            from_pd(LinePD(d, [1.0, 2.0, 3.0])),
-            from_pd(LinePD(-d, [0.0, 5.0, -1.0])),
-            from_pd(LinePD(2.0 * d, [4.0, 0.0, 0.0])),
-            from_hesse(PlaneHesse(n, 2.0)),
-            from_hesse(PlaneHesse(-n, 7.0)),
-        )
-        scan = Scan.from_elements("parallel", objects)
+        scan = Scan.from_elements("parallel", parallel_objects())
         D = _rep_vector_angle_matrix(scan)
         r = scan.rep
         same = np.array([[np.array_equal(a, b) or np.array_equal(a, -b) for b in r] for a in r])
@@ -377,6 +381,22 @@ class TestInternalDistanceMatrix:
                     expect, expect_gr = np.hypot(t, np.arctan(subspace_gap(el_x, el_y) / rho)), t
                 assert abs(D[x, y] - expect) <= 1e-10, (x, y)
                 assert abs(D_gr[x, y] - expect_gr) <= 1e-10, (x, y)
+
+    def test_symmetric_bitwise(self):
+        # Swapping the scans permutes the affinity exactly only if every
+        # internal distance matrix is symmetric bit for bit, parallel and
+        # near-parallel pairs included.
+        rng = np.random.default_rng(63)
+        objects = [*parallel_objects(), *(random_element(rng) for _ in range(8))]
+        objects += [el for el_a, el_b, _ in near_parallel_pairs(rng) for el in (el_a, el_b)]
+        scan = Scan.from_elements("s", tuple(objects), tuple(rng.uniform(-20, 20, 3) for _ in objects))
+        for D in (
+            internal_distance_matrix(scan, 40.0),
+            _gr_distance_matrix(scan),
+            _rep_vector_angle_matrix(scan),
+            _centroid_distance_matrix(scan),
+        ):
+            assert np.array_equal(D.view(np.uint64), D.T.view(np.uint64))
 
     def test_empty_scan(self):
         assert internal_distance_matrix(Scan.from_elements("e", ()), 1.0).shape == (0, 0)

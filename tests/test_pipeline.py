@@ -31,6 +31,7 @@ from graffassoc import (
     verify,
 )
 from graffassoc.cli import main
+from graffassoc.clique_solver import ROUNDING_RULES
 from graffassoc import pipeline
 from graffassoc.pipeline import _match_set
 from graffassoc.scan_io import save_scan
@@ -201,9 +202,10 @@ class TestPipelineProperties:
         assert np.max(np.abs(moved.transform.t - expected.t)) < 1e-9
 
 
+@pytest.mark.parametrize("rounding", ROUNDING_RULES)
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("fn", list(DistanceFn))
-def test_swapping_the_scans_permutes_affinity_and_selection(seed, fn):
+def test_swapping_the_scans_permutes_affinity_and_selection(seed, fn, rounding):
     # Only the affinity and the selection are swap-symmetric: the final
     # translation is a least-squares fit in the target frame, so the
     # matches after refinement may differ between the two directions.
@@ -214,7 +216,7 @@ def test_swapping_the_scans_permutes_affinity_and_selection(seed, fn):
     index = {cand: k for k, cand in enumerate(cands)}
     perm = np.array([index[b, a] for a, b in cands_swap])
     assert np.array_equal(M_swap.view(np.uint64), M[np.ix_(perm, perm)].view(np.uint64))
-    sel, sel_swap = solve_densest(M, rounding="mass_capped"), solve_densest(M_swap, rounding="mass_capped")
+    sel, sel_swap = solve_densest(M, rounding=rounding), solve_densest(M_swap, rounding=rounding)
     assert sorted(perm[list(sel_swap.indices)]) == sorted(sel.indices)
     assert abs(sel_swap.objective - sel.objective) <= 1e-12
 

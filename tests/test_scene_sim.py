@@ -265,6 +265,16 @@ class TestCampaign:
         with pytest.raises(ValueError):
             CampaignConfig(tiers=("impossible",))
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("seed", -1), ("n_planes", -1), ("clutter", -1), ("rho", -1.0), ("rho", np.nan)]
+        + [(field, bad) for field in ("noise_dir_deg", "noise_disp_m", "overlap_medium", "target_mean", "centroid_extent")
+           for bad in (-1.0, np.nan, np.inf)],
+    )
+    def test_scene_and_pair_values_checked_up_front(self, field, bad):
+        with pytest.raises(ValueError):
+            CampaignConfig(**{field: bad})
+
     def test_tier_table(self):
         assert TIER_TABLE["easy"] == (0.0, 0.9)
         assert TIER_TABLE["medium"] == (8.0, 0.7)
