@@ -229,7 +229,9 @@ def _climb(starts: list[list[int]], rank: np.ndarray, M: np.ndarray, edges: np.n
     weight W and size n.  A step takes the best add (the feasible non-member
     of largest H) or the best drop (the member of smallest H), whichever
     leaves the larger density, a tie in H going to the better `rank`; a row
-    stops when that is not more than 1e-12 above its density.  Rows first
+    stops when that is not more than 1e-12 above its density.  Only a bitwise
+    tie goes by rank: moves that tie in exact arithmetic are ranked by the
+    rounding of the running sums, so by the order members joined.  Rows first
     grow by adds alone (cheaper steps), then climb by adds and drops.  Sums
     run in the order members joined, each start given in rank order, so no
     decision reads a label.
@@ -297,7 +299,9 @@ def solve_densest(M: np.ndarray, rounding: str = "greedy_density") -> Selection:
     Deterministic: initialization is a power iteration from the all-ones
     vector, stopped at `_TOL`.  Rounding ranks candidates by u, then by that
     power-init vector, and by index only where both tie exactly; no other
-    step reads a label.
+    step reads a label.  The climb breaks a tie between moves by that rank
+    only when their running sums tie bitwise; an exact-arithmetic tie can
+    go by summation order instead.
 
     Rounding rules: "greedy_density" chases the raw density objective
     (steepest ascent by one-candidate adds and drops from the u-ordered

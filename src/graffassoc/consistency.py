@@ -220,8 +220,8 @@ def _pair_geometry(scan: Scan) -> tuple[np.ndarray, np.ndarray]:
     each, exactly 0 on the diagonal), by the closed forms of the module doc.
 
     Both are symmetric bitwise: swapping a pair negates delta and r x r'
-    exactly, and a parallel line-line or plane-plane pair reads the r of its
-    lower index.
+    exactly, a parallel line-line or plane-plane pair reads the r of its
+    lower index, and a line-plane pair the plane's normal.
     """
     r, line, n = scan.rep, scan.kinds == 1, len(scan)
     cross, sin, cos = _rep_sin_cos(r)
@@ -234,7 +234,8 @@ def _pair_geometry(scan: Scan) -> tuple[np.ndarray, np.ndarray]:
     gap[x, y] = np.linalg.norm(_cross(delta[x, y], r[np.minimum(x, y)]), axis=1)  # |delta x d|, the part off d
     x, y = np.nonzero(lines != parallel)  # skew lines (normal d x d') or a plane parallel to the other (n)
     skew = line[x] & line[y]
-    normal = np.where(skew[:, None], cross[x, y], np.where(line[x, None], r[y], r[np.minimum(x, y)]))
+    plane = np.where(line[x, None], r[y], np.where(line[y, None], r[x], r[np.minimum(x, y)]))
+    normal = np.where(skew[:, None], cross[x, y], plane)
     gap[x, y] = np.abs(np.einsum("pa,pa->p", delta[x, y], normal)) / np.where(skew, sin[x, y], 1.0)
     return np.arctan2(sin, cos), gap
 

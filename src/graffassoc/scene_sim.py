@@ -391,7 +391,7 @@ class CampaignConfig:
                 noise_disp_m=self.noise_disp_m,
                 centroid_extent=self.centroid_extent,
             )
-            for tier in self.tiers
+            for tier in TIER_TABLE  # every overlap_<tier> is checked, configured tier or not
         })
 
 

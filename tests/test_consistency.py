@@ -54,8 +54,8 @@ SPAN_RANK_TOL = 1e-8  # graff_core's rank tolerance for a joint direction span
 
 
 def near_parallel_pairs(rng):
-    """(element, element, t): two lines, a plane and a line, or two planes
-    turned t from parallel, for t = 0 and 0.5, 1 and 2 times the rank
+    """(element, element, t): two lines, a plane and a line, a line and a
+    plane, or two planes turned t from parallel, for t = 0 and 0.5, 1 and 2 times the rank
     tolerance, offset h = 0 (coplanar, or a line in a plane) or h = 2.5 m
     along their common normal.  Each pair has its own random frame.  With
     h > 0, a parallel decision other than the rank test's moves the gap by
@@ -73,6 +73,7 @@ def near_parallel_pairs(rng):
             for build in (
                 lambda d, u, w, p: (line(d, p), line(c * d + s * u, p + h * w)),
                 lambda d, u, w, p: (plane(w, p), line(c * u + s * w, p + h * w)),
+                lambda d, u, w, p: (line(c * u + s * w, p + h * w), plane(w, p)),
                 lambda d, u, w, p: (plane(w, p), plane(c * w + s * u, p + h * w)),
             ):
                 yield *build(*random_rotation(rng).T, rng.uniform(-30.0, 30.0, 3)), t

@@ -264,6 +264,8 @@ class TestCampaign:
             CampaignConfig(trials=0)
         with pytest.raises(ValueError):
             CampaignConfig(tiers=("impossible",))
+        with pytest.raises(ValueError, match=r"overlap must lie in \[0, 1\]"):
+            CampaignConfig(tiers=("easy",), overlap_hard=1.5)  # checked though hard is not run
 
     @pytest.mark.parametrize(
         "field, bad",
