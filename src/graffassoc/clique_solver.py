@@ -7,11 +7,12 @@ solved on the nonnegative unit sphere with a geometrically growing penalty
 on constraint violations, then rounded greedily; the multi-start rule
 climbs from all its start sets at once, by steepest ascent on running sums,
 and ranks tied candidates by u, never by label.  Each ascent step works on
-the working set supp(u) | {gradient > 0}, so only those rows of the
-penalized matrix are formed (and applied off the set only when a Lipschitz
-bound stops certifying the gradient there <= 0), and the penalty loop stops
-as soon as a larger penalty can no longer change u.  An exhaustive oracle is
-provided for small instances.
+the working set supp(u) | {gradient > 0}: only its rows of the penalized
+matrix are formed (applied off the set only when a Lipschitz bound stops
+certifying the gradient there <= 0), and while it spans over half of the
+candidates, products come from M and the boolean graph, so no second m x m
+float array exists.  The penalty loop stops as soon as a larger penalty can
+no longer change u.  An exhaustive oracle is provided for small instances.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ _MAX_ITERATIONS = 150  # gradient steps per penalty stage
 _TOL = 1e-8  # convergence threshold on iterate change
 _INITIAL_PENALTY = 0.25
 _PENALTY_GROWTH = 1.6
-_VALIDATE_ROWS = 64  # validation temporaries stay _VALIDATE_ROWS x m, not m x m
+_BLOCK_ROWS = 64  # validation tiles and penalized products keep temporaries O(_BLOCK_ROWS x m), not m x m
 _STARTS = 16  # one-candidate rounding starts, the best-ranked candidates
 
 
@@ -58,12 +59,16 @@ def _validate_affinity(M: np.ndarray) -> np.ndarray:
         raise ValueError(f"affinity matrix must be square, got {M.shape}")
     if M.size == 0:
         return M
-    starts = range(0, M.shape[0], _VALIDATE_ROWS)
-    if not all(np.isfinite(M[i : i + _VALIDATE_ROWS]).all() for i in starts):
+    lo, hi = M.min(), M.max()  # NaN and +-inf show here
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("affinity matrix must be finite")
-    if any(np.abs(M[i : i + _VALIDATE_ROWS, i:] - M[i:, i : i + _VALIDATE_ROWS].T).max() > 1e-9 for i in starts):
-        raise ValueError("affinity matrix must be symmetric")
-    if M.min() < -1e-12 or M.max() > 1.0 + 1e-9:
+    t = 2 * _BLOCK_ROWS  # square tiles on and above the diagonal
+    for i in range(0, len(M), t):
+        for j in range(i, len(M), t):
+            mirror = M[j : j + t, i : i + t].T.copy()  # C order, so the subtraction needs no ufunc buffer
+            if np.abs(np.subtract(M[i : i + t, j : j + t], mirror, out=mirror), out=mirror).max() > 1e-9:
+                raise ValueError("affinity matrix must be symmetric")
+    if lo < -1e-12 or hi > 1.0 + 1e-9:
         raise ValueError("affinity entries must lie in [0, 1]")
     if np.max(np.abs(np.diag(M) - 1.0)) > 1e-9:
         raise ValueError("affinity diagonal must be all ones")
@@ -102,13 +107,29 @@ def _power_init(M: np.ndarray) -> np.ndarray:
     return u
 
 
+class _Penalized:
+    """Md = (M on edges, -penalty off them), never formed: v @ Md = v @ M - penalty * (sum(v) - v @ edges),
+    a block of edge rows where v != 0 cast at a time.  Equal to the formed Md up to rounding if M is 0 off edges."""
+
+    __array_ufunc__ = None  # so that `v @ Md` calls __rmatmul__
+
+    def __init__(self, M: np.ndarray, edges: np.ndarray, penalty: float):
+        self.M, self.edges, self.penalty = M, edges, penalty
+
+    def __rmatmul__(self, v: np.ndarray) -> np.ndarray:
+        S, B = v.nonzero()[0], max(_BLOCK_ROWS, 2**16 // len(v))  # rows with v_i = 0 add nothing; small m: one block
+        on = sum(v[r] @ self.edges[r] for r in (S[i : i + B] for i in range(0, S.size, B)))
+        return v @ self.M - self.penalty * (v.sum() - on)
+
+
 def _penalized_rows(M: np.ndarray, edges: np.ndarray, penalty: float, W: np.ndarray):
-    """Rows Md[W, :], block Md[W, W] and column norms |Md[W, i]| of Md =
-    (M on edges, -penalty off them); all of Md, with no norms, once |W| > m/2."""
+    """Rows Md[W, :], block Md[W, W] and column norms |Md[W, i]| of Md, bitwise
+    as np.where(edges[W], M[W], -penalty); all of Md, with no norms, once |W| > m/2."""
     if 2 * W.size > M.shape[0]:
-        Md = np.where(edges, M, -penalty)
+        Md = _Penalized(M, edges, penalty)
         return np.arange(M.shape[0]), Md, Md, None
-    rows = np.where(edges[W], M[W], -penalty)
+    rows = M[W]
+    np.putmask(rows, ~edges[W], -penalty)
     return W, rows, rows[:, W], np.sqrt(np.einsum("ij,ij->j", rows, rows))
 
 
@@ -139,7 +160,7 @@ def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g):
     ref, radius, f = None, 0.0, None
     moved = stale = False
     for _ in range(_MAX_ITERATIONS):
-        if outside or 2 * np.count_nonzero((uC > 0.0) | (gC > 0.0)) < C.size:
+        if outside or 2 * np.count_nonzero(np.maximum(uC, gC) > 0.0) < C.size:  # |W| < |C| / 2
             if moved:  # before the first step u is the caller's array
                 u = np.zeros(m)
                 u[C] = uC
@@ -148,7 +169,7 @@ def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g):
             C, rows, block, lip = _penalized_rows(M, edges, penalty, np.flatnonzero((u > 0.0) | (g > 0.0)))
             uC, gC, outside = u[C], g[C], False
         if f is None:  # scored like the trials, so a trial equal to u never wins
-            f = float(uC @ (uC @ block))
+            f = float(uC @ (gC if rows is block else uC @ block))  # all of Md: gC is that product
             alpha = 1.0 / max(1.0, abs(f))
         step = alpha
         for _ in range(40):
@@ -174,7 +195,8 @@ def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g):
             gC = g[C]
             outside = np.count_nonzero(g > 0.0) > np.count_nonzero(gC > 0.0)
             slack = np.divide(-g, lip, out=np.zeros(m), where=lip > 0.0)
-            ref, radius = v, float(np.delete(slack, C).min()) - 4.0 * C.size * np.finfo(float).eps
+            slack[C] = np.inf  # the bound is needed off C only
+            ref, radius = v, float(slack.min()) - 4.0 * C.size * np.finfo(float).eps
         f, alpha = fv, step * 2.0
         if math.sqrt(d @ d) < _TOL:
             break

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -515,3 +519,15 @@ class TestUsage:
 
     def test_missing_arguments(self, capsys):
         assert main(["match"]) == 1
+
+    def test_module_entry_point_runs_the_cli(self, tmp_path):
+        # `python -m graffassoc.cli` runs the same CLI as the console script.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "graffassoc.cli", "bench", str(tmp_path / "nonexistent.txt"), "--out", "x"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert not (tmp_path / "x").exists()

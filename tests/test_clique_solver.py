@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -568,12 +570,18 @@ class TestCertifiedRefresh:
 
         monkeypatch.setattr(clique_solver, "_penalized_rows", recording_rows)
         monkeypatch.setattr(clique_solver, "_ascend", recording_ascend)
+        full = 0
         for name, M in instances:
             stages.clear()
             solve_densest(M)
             for M, edges, penalty, C, u, g in stages:
-                rows = np.where(edges[C], M[C], -penalty)
+                if C.size == M.shape[0]:  # all of Md: the solver's product, pinned by TestPenalizedProducts
+                    rows = clique_solver._Penalized(M, edges, penalty)
+                    full += 1
+                else:
+                    rows = np.where(edges[C], M[C], -penalty)
                 assert np.array_equal(g, u[C] @ rows), name
+        assert full > 0
 
     def test_skipped_refreshes_are_sound(self, instances, monkeypatch):
         # At every step where the certificate holds, the refresh it skips
@@ -601,6 +609,88 @@ class TestCertifiedRefresh:
         for _, M in instances:
             solve_densest(M)
         assert sum(decisions) >= 0.8 * len(decisions) > 1000
+
+
+def affinity_near_1000():
+    """One scan-pair affinity at m = 1002."""
+    scene = generate_scene(SceneConfig(n_lines=9, n_planes=30, seed=801))
+    pair = make_loop_pair(scene, PairConfig(overlap=0.8, clutter=8, seed=901))
+    M, _ = build_affinity(pair.scan_i, pair.scan_j, ConsistencyParams(), DistanceFn.GRAFF_SHIFTED)
+    assert M.shape == (1002, 1002)
+    return M
+
+
+class TestPenalizedProducts:
+    """The penalized matrix Md = (M on edges, -penalty off them) is never
+    formed: products with all of it go through `_Penalized`, and working-set
+    rows are penalized in place."""
+
+    @pytest.fixture(scope="class")
+    def instances(self):
+        return [*parity_instances(), *scene_pair_affinities(), ("scene-m1002", affinity_near_1000())]
+
+    def test_wide_product_matches_formed_matrix(self, instances, monkeypatch):
+        taken = []
+        product = clique_solver._Penalized.__rmatmul__
+
+        def recording(self, v):
+            out = product(self, v)
+            taken.append((self.penalty, v.copy(), out.copy()))
+            return out
+
+        monkeypatch.setattr(clique_solver._Penalized, "__rmatmul__", recording)
+        assert len(instances) == 47
+        for name, M in instances:
+            taken.clear()
+            solve_densest(M)
+            edges = binarize_constraints(M)
+            assert taken, name  # the first step of every solve uses all of Md
+            for penalty, v, out in taken:
+                assert np.max(np.abs(out - v @ np.where(edges, M, -penalty))) <= 1e-12, name
+            # Every penalty of the schedule: the products grow with it, and so
+            # does the rounding of both sides.
+            v, penalty = _power_init(M), _INITIAL_PENALTY
+            while penalty <= M.shape[0] + 1.0:
+                out = v @ clique_solver._Penalized(M, edges, penalty)
+                assert np.max(np.abs(out - v @ np.where(edges, M, -penalty))) <= 1e-12 * penalty, name
+                penalty *= _PENALTY_GROWTH
+
+    def test_partial_rows_bitwise_equal_to_formed_rows(self):
+        # Off-edge entries of -0.0 and -1e-13 pass validation and must come
+        # out as -penalty exactly, as np.where makes them.
+        rng = np.random.default_rng(17)
+        m = 300
+        M = random_gated_matrix(rng, m)
+        off = np.argwhere(np.triu(M == 0.0, 1))
+        for (i, j), value in zip(off[rng.permutation(len(off))[:400]], [-0.0, -1e-13] * 200):
+            M[i, j] = M[j, i] = value
+        assert clique_solver._validate_affinity(M) is not None
+        edges = binarize_constraints(M)
+        assert np.signbit(M[~edges]).any() and (M[~edges] == -1e-13).any()
+        for size in (1, 63, 64, 65, 150):
+            W = np.sort(rng.choice(m, size, replace=False))
+            for penalty in (_INITIAL_PENALTY, 7.3, m + 1.0):
+                C, rows, block, lip = clique_solver._penalized_rows(M, edges, penalty, W)
+                ref = np.where(edges[W], M[W], -penalty)
+                assert np.array_equal(C, W)
+                assert rows.tobytes() == ref.tobytes()
+                assert block.tobytes() == ref[:, W].tobytes()
+                assert lip.tobytes() == np.sqrt(np.einsum("ij,ij->j", ref, ref)).tobytes()
+
+    def test_no_second_m_by_m_float_array(self, instances):
+        # Above its input, a solve holds at most one m x m float array's
+        # worth of bytes; forming Md took 1.14 of them at m = 1002.
+        M = instances[-1][1]
+        m = M.shape[0]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            solve_densest(M)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.0 * 8 * m * m
 
 
 # The ascent before it kept u and g on the working set: full-length u and g
