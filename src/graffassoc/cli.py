@@ -239,13 +239,7 @@ def _summary_doc(cfg: CampaignConfig, records: list[TrialRecord]) -> dict:
                 "timing_std_s": overall.timing_std_s,
             }
         )
-    # the config as given, less the tier overlaps and the scene extents
-    config = {
-        key: value
-        for key, value in dataclasses.asdict(cfg).items()
-        if not key.startswith("overlap_") and key not in ("target_mean", "centroid_extent")
-    }
-    config |= {"tiers": list(cfg.tiers), "distance_fns": [fn.value for fn in cfg.distance_fns]}
+    config = dataclasses.asdict(cfg) | {"tiers": list(cfg.tiers), "distance_fns": [fn.value for fn in cfg.distance_fns]}
     return {"schema": 1, "config": config, "results": rows}
 
 

@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .graff_core import GraffElement, _cross, _frame_reps, _rep_frames, shifted_graff_distance
+from .graff_core import _SPAN_RANK_TOL, GraffElement, _cross, _frame_reps, _rep_frames, shifted_graff_distance
 
 _AFFINITY_ROWS = 64  # affinity temporaries stay _AFFINITY_ROWS x m, not m x m
 
@@ -37,7 +37,7 @@ _AFFINITY_ROWS = 64  # affinity temporaries stay _AFFINITY_ROWS x m, not m x m
 # pair t from parallel has smallest singular value sqrt(2) sin(t / 2) ~ t / sqrt(2)
 # (two lines, two planes, or a line and a plane), so the same decision on
 # sin t = |r x r'| (|d . n| for a line and a plane) is sin t <= sqrt(2) * 1e-8.
-_PARALLEL_SIN = math.sqrt(2.0) * 1e-8
+_PARALLEL_SIN = math.sqrt(2.0) * _SPAN_RANK_TOL
 
 __all__ = [
     "Scan",

@@ -67,6 +67,13 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _flips(v: np.ndarray, s: np.ndarray | float) -> np.ndarray:
+    """Rows of sign-ambiguous forms (v, s) ~ (-v, -s) to negate so that s >= 0 and, where s = 0,
+    v's first nonzero entry is positive: a plane's (n, d), a quaternion's (xyz, w)."""
+    first = v[np.arange(len(v)), np.argmax(v != 0.0, axis=1)]
+    return (s < 0.0) | ((s == 0.0) & (first < 0.0))
+
+
 def rotation_about_axis(axis, angle: float) -> np.ndarray:
     """Rotation matrix for a rotation of `angle` radians about `axis`."""
     return _rotations(_unit_vector(axis, "axis")[None], np.array([float(angle)]))[0]
@@ -186,15 +193,8 @@ class PlaneHesse:
         d = float(self.d)
         if not np.isfinite(d):
             raise ValueError("offset d must be finite")
-        if d < 0.0:
-            n, d = -n, -d
-        elif d == 0.0:
-            # (n, 0) and (-n, 0) are the same plane; fix the sign of n.
-            nz = np.nonzero(n)[0]
-            if nz.size and n[nz[0]] < 0.0:
-                n = -n
-        object.__setattr__(self, "n", _readonly(n))
-        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "n", _readonly(-n if _flips(n[None], d)[0] else n))
+        object.__setattr__(self, "d", -d if d < 0.0 else d)
 
 
 def orthogonal_displacement(A, b) -> np.ndarray:
@@ -336,13 +336,11 @@ def _frames(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _stacked_frames(k: int, v: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`_frames` of n lines (k = 1: unit directions v, points x) or n planes (k = 2:
-    unit normals v, offsets x) with PlaneHesse's sign rule, each row bit-identical
+    unit normals v, offsets x) with `_flips`'s sign rule, each row bit-identical
     to from_pd or from_hesse on the object alone."""
     if k == 1:
         return _frames(v[:, :, None], x)
-    first = v[np.arange(len(v)), np.argmax(v != 0.0, axis=1)]
-    flip = (x < 0.0) | ((x == 0.0) & (first < 0.0))
-    n, d = np.where(flip[:, None], -v, v), np.where(x < 0.0, -x, x)
+    n, d = np.where(_flips(v, x)[:, None], -v, v), np.where(x < 0.0, -x, x)
     helper = np.zeros(n.shape)
     helper[np.arange(len(n)), np.argmin(np.abs(n), axis=1)] = 1.0
     u = _unit_rows(_cross(n, helper))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graff_core import LinePD, RigidTransform, orthogonal_displacement
+from .graff_core import LinePD, RigidTransform, _flips, orthogonal_displacement
 # Unused here: kept so perfbench/tracing.py can still count calls under this name.
 from .graff_core import from_pd  # noqa: F401
 
@@ -179,27 +179,20 @@ def verify(
 
 
 def rotation_to_quaternion(R: np.ndarray) -> np.ndarray:
-    """Unit quaternion (w, x, y, z) for a rotation matrix, scalar part >= 0."""
+    """Unit quaternion (w, x, y, z) for a rotation matrix, scalar part >= 0; at w = 0
+    (half turns) the first nonzero component is positive."""
     R = np.asarray(R, dtype=float)
     t = float(np.trace(R))
     if t > 0.0:
         s = np.sqrt(t + 1.0) * 2.0
         q = np.array([0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s])
     else:
+        # pivot on the largest diagonal entry i, with j, k the next two cyclically
         i = int(np.argmax(np.diag(R)))
-        if i == 0:
-            s = np.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
-            q = np.array([(R[2, 1] - R[1, 2]) / s, 0.25 * s, (R[0, 1] + R[1, 0]) / s, (R[0, 2] + R[2, 0]) / s])
-        elif i == 1:
-            s = np.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
-            q = np.array([(R[0, 2] - R[2, 0]) / s, (R[0, 1] + R[1, 0]) / s, 0.25 * s, (R[1, 2] + R[2, 1]) / s])
-        else:
-            s = np.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
-            q = np.array([(R[1, 0] - R[0, 1]) / s, (R[0, 2] + R[2, 0]) / s, (R[1, 2] + R[2, 1]) / s, 0.25 * s])
+        j, k = (i + 1) % 3, (i + 2) % 3
+        a, b = sorted((j, k))
+        s = np.sqrt(1.0 + R[i, i] - R[a, a] - R[b, b]) * 2.0
+        xyz = np.roll([0.25 * s, (R[i, j] + R[j, i]) / s, (R[i, k] + R[k, i]) / s], i)  # at i, j, k
+        q = np.array([(R[k, j] - R[j, k]) / s, *xyz])
     q /= np.linalg.norm(q)
-    if q[0] < 0.0:
-        q = -q
-    elif q[0] == 0.0 and q[np.nonzero(q)[0][0]] < 0.0:
-        # 180-degree rotations: make the first nonzero component positive.
-        q = -q
-    return q
+    return -q if _flips(q[None, 1:], q[0])[0] else q

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .consistency import Scan, _scan_rows
-from .graff_core import _stacked_frames, _unit_rows
+from .graff_core import _flips, _stacked_frames, _unit_rows
 
 __all__ = ["ScanFormatError", "SCHEMA_VERSION", "load_scan", "save_scan", "scan_to_dict", "scan_from_dict"]
 
@@ -157,8 +157,7 @@ def scan_to_dict(scan: Scan) -> dict:
     n_b0 = (scan.rep[:, None, :] @ scan.b0[:, :, None])[:, 0, 0]
     d = np.sqrt((scan.b0[:, None, :] @ scan.b0[:, :, None])[:, 0, 0])
     v = _unit_rows(scan.rep)
-    first = v[np.arange(len(v)), np.argmax(v != 0.0, axis=1)]
-    flip = (scan.kinds == 2) & (((d > 0.0) & (n_b0 < 0.0)) | ((d == 0.0) & (first < 0.0)))
+    flip = (scan.kinds == 2) & _flips(v, np.where(d > 0.0, n_b0, 0.0))
     v = np.where(flip[:, None], -v, v).tolist()
     objects = []
     for index, (k, b0) in enumerate(zip(scan.kinds.tolist(), scan.b0.tolist())):

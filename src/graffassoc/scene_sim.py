@@ -194,12 +194,6 @@ def _sample_truth(rng: np.random.Generator, pcfg: PairConfig) -> RigidTransform:
     return RigidTransform(R, t)
 
 
-def _perturb(A: np.ndarray, b: np.ndarray, turns: np.ndarray | None, shifts: np.ndarray | None):
-    """Frames of objects (bases A, points b) turned by the rotations `turns`
-    (n x 3 x 3) and moved by `shifts` (n x 3), where given."""
-    return _frames(A if turns is None else turns @ A, b if shifts is None else b + shifts)
-
-
 def _object_extent(scan: Scan) -> float:
     """Rough workspace size, for placing clutter where the objects live."""
     pts = scan.b0 if scan.centroids is None else scan.centroids
@@ -253,8 +247,10 @@ def make_loop_pair(scene: Scan, pcfg: PairConfig) -> LoopPair:
         A = truth.R @ np.concatenate([_rep_frames(k, scene.rep[keep[kept]]), A_c])
         b = truth.R @ np.concatenate([scene.b0[keep[kept]], b_c])[:, :, None]
         A, b = _frames(A, b[:, :, 0] + truth.t)
-        noise = (None if x is None else x[kept] for x in (turns, shifts))
-        A[: kept.size], b[: kept.size] = _perturb(A[: kept.size], b[: kept.size], *noise)
+        n = kept.size  # the kept objects, turned and moved by their noise where drawn
+        A[:n], b[:n] = _frames(
+            A[:n] if turns is None else turns[kept] @ A[:n], b[:n] if shifts is None else b[:n] + shifts[kept]
+        )
         return A, b
 
     kinds = np.concatenate([scene.kinds[keep], clutter_kinds])
@@ -354,9 +350,9 @@ class CampaignConfig:
     clutter: int = 5
     noise_dir_deg: float = 0.5
     noise_disp_m: float = 0.05
-    overlap_easy: float = 0.9
-    overlap_medium: float = 0.7
-    overlap_hard: float = 0.5
+    overlap_easy: float = TIER_TABLE["easy"][1]
+    overlap_medium: float = TIER_TABLE["medium"][1]
+    overlap_hard: float = TIER_TABLE["hard"][1]
     rho: float = 40.0
     epsilon: float = 0.2
     sigma: float = 0.02

@@ -467,6 +467,16 @@ class TestBenchCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert len(summary["results"]) == 5
 
+    def test_summary_echoes_every_config_key(self, tmp_path):
+        cfg = tmp_path / "c.txt"
+        self._write_config(cfg, trials=1, overlap_hard=0.6, target_mean=30)
+        out = tmp_path / "out"
+        assert main(["bench", str(cfg), "--out", str(out)]) == 0
+        config = json.loads((out / "summary.json").read_text())["config"]
+        assert config["overlap_hard"] == 0.6 and config["target_mean"] == 30.0
+        assert config["overlap_easy"] == 0.9 and config["centroid_extent"] == 5.0
+        assert config["tiers"] == ["easy"] and config["distance_fns"] == ["graff_shifted"]
+
     def test_bad_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "c.txt"
         cfg.write_text("unknown_key = 5\n")

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -234,3 +236,56 @@ class TestQuaternion:
         assert q[0] == pytest.approx(0.0, abs=1e-9)
         nz = q[np.nonzero(np.abs(q) > 1e-9)[0][0]]
         assert nz > 0
+
+    def test_matches_four_branch_reference_bitwise(self):
+        rng = np.random.default_rng(15)
+        rotations = [rotation_about_axis(rng.normal(size=3), rng.uniform(0.0, np.pi)) for _ in range(200)]
+        for pivot in range(3):
+            # past 120 degrees the trace is <= 0, and the diagonal peaks where |axis| does
+            for _ in range(200):
+                axis = rng.normal(size=3)
+                big = int(np.argmax(np.abs(axis)))
+                axis[[big, pivot]] = axis[[pivot, big]]
+                R = rotation_about_axis(axis, rng.uniform(2.0 * np.pi / 3.0, np.pi))
+                assert np.trace(R) <= 0.0 and int(np.argmax(np.diag(R))) == pivot
+                rotations.append(R)
+        for axis in itertools.product([-2.0, -1.0, 0.0, 1.0, 2.0], repeat=3):
+            if any(axis):
+                a = np.array(axis)
+                rotations.append(rotation_about_axis(a, np.pi))
+                rotations.append(2.0 * np.outer(a, a) / (a @ a) - np.eye(3))  # a half turn with w = 0 exactly
+        for R in rotations:
+            assert rotation_to_quaternion(R).tobytes() == _four_branch_quaternion(R).tobytes()
+
+    @pytest.mark.parametrize("axis", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -2, 0), (0, -1, 1), (-1, 1, 2)])
+    def test_exact_half_turn_first_nonzero_positive(self, axis):
+        a = np.array(axis, dtype=float)
+        q = rotation_to_quaternion(2.0 * np.outer(a, a) / (a @ a) - np.eye(3))
+        assert q[0] == 0.0
+        assert q[np.nonzero(q)[0][0]] > 0.0
+        assert np.allclose(q[1:], np.sign(a[np.nonzero(a)[0][0]]) * a / np.linalg.norm(a), atol=1e-15)
+
+
+def _four_branch_quaternion(R):
+    """rotation_to_quaternion written with one branch per pivot, kept as a bitwise reference."""
+    t = float(np.trace(R))
+    if t > 0.0:
+        s = np.sqrt(t + 1.0) * 2.0
+        q = np.array([0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s])
+    else:
+        i = int(np.argmax(np.diag(R)))
+        if i == 0:
+            s = np.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
+            q = np.array([(R[2, 1] - R[1, 2]) / s, 0.25 * s, (R[0, 1] + R[1, 0]) / s, (R[0, 2] + R[2, 0]) / s])
+        elif i == 1:
+            s = np.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
+            q = np.array([(R[0, 2] - R[2, 0]) / s, (R[0, 1] + R[1, 0]) / s, 0.25 * s, (R[1, 2] + R[2, 1]) / s])
+        else:
+            s = np.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
+            q = np.array([(R[1, 0] - R[0, 1]) / s, (R[0, 2] + R[2, 0]) / s, (R[1, 2] + R[2, 1]) / s, 0.25 * s])
+    q /= np.linalg.norm(q)
+    if q[0] < 0.0:
+        q = -q
+    elif q[0] == 0.0 and q[np.nonzero(q)[0][0]] < 0.0:
+        q = -q
+    return q
