@@ -7,12 +7,12 @@ solved on the nonnegative unit sphere with a geometrically growing penalty
 on constraint violations, then rounded greedily; the multi-start rule
 climbs from all its start sets at once, by steepest ascent on running sums,
 and ranks tied candidates by u, never by label.  Each ascent step works on
-the working set supp(u) | {gradient > 0}: only its rows of the penalized
-matrix are formed (applied off the set only when a Lipschitz bound stops
-certifying the gradient there <= 0), and while it spans over half of the
-candidates, products come from M and the boolean graph, so no second m x m
-float array exists.  The penalty loop stops as soon as a larger penalty can
-no longer change u.  An exhaustive oracle is provided for small instances.
+a working set C of supp(u) | {gradient > 0}, holding the penalized matrix on
+C's block and only on the columns off C that a Lipschitz certificate, set by
+one blockwise pass over C's rows, cannot yet put at gradient <= 0; while C
+spans over half of the candidates, products come from M and the boolean
+graph, so no second m x m float array exists.  The penalty loop stops as soon
+as a larger penalty can no longer change u.  An exhaustive oracle is provided.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ _TOL = 1e-8  # convergence threshold on iterate change
 _INITIAL_PENALTY = 0.25
 _PENALTY_GROWTH = 1.6
 _BLOCK_ROWS = 64  # validation tiles and penalized products keep temporaries O(_BLOCK_ROWS x m), not m x m
+_PASS_ROWS = 32  # global refreshes: a block of rows and its float edge mask fit a 2 MiB L2 cache at m ~ 2200
+_SCREEN = 0.3  # a global refresh holds the columns off the working set with certificate slack below this
 _STARTS = 16  # one-candidate rounding starts, the best-ranked candidates
 
 
@@ -122,54 +124,105 @@ class _Penalized:
         return v @ self.M - self.penalty * (v.sum() - on)
 
 
-def _penalized_rows(M: np.ndarray, edges: np.ndarray, penalty: float, W: np.ndarray):
-    """Rows Md[W, :], block Md[W, W] and column norms |Md[W, i]| of Md, bitwise
-    as np.where(edges[W], M[W], -penalty); all of Md, with no norms, once |W| > m/2."""
-    if 2 * W.size > M.shape[0]:
-        Md = _Penalized(M, edges, penalty)
-        return np.arange(M.shape[0]), Md, Md, None
-    rows = M[W]
-    np.putmask(rows, ~edges[W], -penalty)
-    return W, rows, rows[:, W], np.sqrt(np.einsum("ij,ij->j", rows, rows))
+def _penalized(M: np.ndarray, edges: np.ndarray, penalty: float, rows: np.ndarray, cols=slice(None)) -> np.ndarray:
+    """Md[rows, cols], bitwise as np.where(edges, M, -penalty): M * e + (e - 1) * penalty, e the edges as floats."""
+    out, e = M[rows][:, cols], edges[rows][:, cols].astype(float)
+    out *= e
+    out += np.multiply(np.subtract(e, 1.0, out=e), penalty, out=e)
+    return out
 
 
-def _certified(v: np.ndarray, ref, radius: float) -> bool:
-    """Whether the bound set up at the refresh point ref still puts g <= 0 off C."""
-    d = None if ref is None else v - ref
-    return d is not None and math.sqrt(d @ d) <= radius
+def _screen(g: np.ndarray, norms, C: np.ndarray):
+    """Columns off C with slack -g_i / |Md[C, i]| below _SCREEN, by increasing slack; None without norms."""
+    if norms is None:
+        return None
+    slack = -g / norms
+    slack[C] = np.inf
+    S = np.flatnonzero(slack < _SCREEN)
+    return S[np.argsort(slack[S], kind="stable")]
 
 
-def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g):
+def _refresh(M: np.ndarray, edges: np.ndarray, penalty: float, C: np.ndarray, v: np.ndarray, S, norms=None):
+    """Global refresh at v: one pass over Md[C, :], _PASS_ROWS rows at a time, never held whole.
+
+    Returns g = v @ Md[C, :], the block Md[C, C] and norms |Md[C, i]| (None and the given `norms`, if any),
+    S (if None, screened by this g and read after the pass), Md[C, S], and reach and radius:
+    g_i(v') <= g_i(v) + |Md[C, i]| |v' - v| stays <= 0 on S[j:] while |v' - v| <= reach[j], and off C | S
+    while it is <= radius (less a margin for the rounding of both products)."""
+    m = M.shape[0]
+    g, cols = np.zeros(m), None if S is None else np.empty((C.size, S.size))
+    block = sq = None
+    if norms is None:
+        block, sq = np.empty((C.size, C.size)), np.zeros(m)
+    for i in range(0, C.size, _PASS_ROWS):
+        r = slice(i, i + _PASS_ROWS)
+        rows = _penalized(M, edges, penalty, C[r])
+        g += v[r] @ rows
+        if cols is not None:  # indices in range: mode="clip" only skips the bounds check
+            np.take(rows, S, axis=1, out=cols[r], mode="clip")
+        if block is not None:
+            sq += np.einsum("ij,ij->j", rows, rows)
+            np.take(rows, C, axis=1, out=block[r], mode="clip")
+    norms = np.sqrt(sq) if norms is None else norms
+    if S is None:
+        S = _screen(g, norms, C)
+        cols = np.empty((C.size, S.size))
+        for i in range(0, C.size, _PASS_ROWS):
+            cols[i : i + _PASS_ROWS] = _penalized(M, edges, penalty, C[i : i + _PASS_ROWS], S)
+    slack, margin = -g / norms, 4.0 * C.size * np.finfo(float).eps
+    slack[C] = np.inf
+    reach = np.minimum.accumulate(slack[S][::-1])[::-1] - margin
+    slack[S] = np.inf
+    return g, block, norms, S, cols, reach, float(slack.min()) - margin
+
+
+def _lapsed(v: np.ndarray, ref: np.ndarray, reach: np.ndarray, radius: float):
+    """None once v has left the radius of the refresh at ref, else how many columns of S left their reach."""
+    d = v - ref
+    delta = math.sqrt(d @ d)
+    return None if delta > radius else int(reach.searchsorted(delta))
+
+
+def _working_set(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, norms):
+    """C = supp(u) | {g > 0} (all for g None), refreshed at u with S screened by g
+    and the last `norms`; all of Md as `_Penalized`, and no S, once |C| > m/2."""
+    m = M.shape[0]
+    C = np.flatnonzero((u > 0.0) | (g is None or g > 0.0))
+    if 2 * C.size <= m:
+        return C, *_refresh(M, edges, penalty, C, u[C], _screen(g, norms, C))
+    Md = _Penalized(M, edges, penalty)
+    return np.arange(m), u @ Md, Md, None, np.zeros(0, dtype=np.intp), np.zeros((m, 0)), np.zeros(0), math.inf
+
+
+def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, screen=None):
     """Projected gradient ascent of u'(Md)u on the nonnegative unit sphere.
 
     Trials max(u + s*g, 0) lie inside W = supp(u) | {g > 0}: they are scored on
     a block Md[C, C], C a superset of W rebuilt when W leaves C or falls below
-    half of it, and the gradient needs only Md[C, :], applied only when the
-    bound g_i(v) <= g_i(ref) + |Md[C, i]| |v - ref| stops certifying g <= 0
-    off C.  `g` is the last stage's gradient at u, or None; a larger penalty
-    only lowers it, so it bounds W.  The loop keeps u and g on C only; g off C
-    changes only at a full product, so W can leave C only right after one.
-    The returned g is exact.
+    half of it.  Off C, g is read from Md[C, S] on the screened columns S past
+    their reach, and is certified <= 0 elsewhere until v leaves the radius of
+    the last global refresh, which then runs at v.  `g` is the last stage's
+    gradient at u, or None; a larger penalty only lowers it, so it bounds W.
+    The returned g is exact on C | S, elsewhere its value at that refresh, <= 0.
+    `screen`, kept by the caller across stages, carries the last column norms
+    so that the first build screens its columns before its pass.
     """
     m = u.shape[0]
-    C, rows, block, lip = _penalized_rows(M, edges, penalty, np.flatnonzero((u > 0.0) | (g is None or g > 0.0)))
-    uC = u[C]
-    g = uC @ rows  # the last full product: g off C holds its values
-    gC = g[C]
+    C, g, block, norms, S, cols, reach, radius = _working_set(M, edges, penalty, u, g, (screen or {}).get("norms"))
+    uC, gC, gS, ref, f = u[C], g[C], g[S], u[C], None
     outside = np.count_nonzero(g > 0.0) > np.count_nonzero(gC > 0.0)  # W leaves C
-    ref, radius, f = None, 0.0, None
-    moved = stale = False
+    moved = False
     for _ in range(_MAX_ITERATIONS):
         if outside or 2 * np.count_nonzero(np.maximum(uC, gC) > 0.0) < C.size:  # |W| < |C| / 2
             if moved:  # before the first step u is the caller's array
                 u = np.zeros(m)
                 u[C] = uC
-            g[C] = gC
-            rows = block = lip = ref = None  # release the old cache before building the next
-            C, rows, block, lip = _penalized_rows(M, edges, penalty, np.flatnonzero((u > 0.0) | (g > 0.0)))
-            uC, gC, outside = u[C], g[C], False
+            g[C], g[S] = gC, gS
+            block = cols = None  # release the old cache before building the next
+            C, g, block, norms, S, cols, reach, radius = _working_set(M, edges, penalty, u, g, norms)
+            uC, gC, gS, ref, outside = u[C], g[C], g[S], u[C], False
         if f is None:  # scored like the trials, so a trial equal to u never wins
-            f = float(uC @ (gC if rows is block else uC @ block))  # all of Md: gC is that product
+            f = float(uC @ (gC if norms is None else uC @ block))  # all of Md: gC is that product
             alpha = 1.0 / max(1.0, abs(f))
         step = alpha
         for _ in range(40):
@@ -185,28 +238,25 @@ def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g):
         else:
             break
         moved = True
-        stale = rows is not block and _certified(v, ref, radius)
-        d = v - uC
-        uC = v
-        if rows is block or stale:
-            gC = gv  # a stale g keeps off C the negative values it had at ref
-        else:  # the margin covers the rounding of both products (|v| = 1)
-            g = v @ rows
-            gC = g[C]
-            outside = np.count_nonzero(g > 0.0) > np.count_nonzero(gC > 0.0)
-            slack = np.divide(-g, lip, out=np.zeros(m), where=lip > 0.0)
-            slack[C] = np.inf  # the bound is needed off C only
-            ref, radius = v, float(slack.min()) - 4.0 * C.size * np.finfo(float).eps
+        d, k = v - uC, _lapsed(v, ref, reach, radius)
+        uC, gC = v, gv
+        if k is None:
+            g[S], cols = gS, None
+            g, _, _, S, cols, reach, radius = _refresh(M, edges, penalty, C, v, _screen(g, norms, C), norms)
+            ref, gS = v, g[S]
+            outside = np.count_nonzero(g > 0.0) > np.count_nonzero(g[C] > 0.0)
+        elif k:  # S[k:] is still certified
+            gS[:k] = v @ cols[:, :k]
+            outside = (gS[:k] > 0.0).any()
         f, alpha = fv, step * 2.0
         if math.sqrt(d @ d) < _TOL:
             break
     if moved:
         u = np.zeros(m)
         u[C] = uC
-    if stale:
-        g = uC @ rows
-    else:
-        g[C] = gC
+    g[C], g[S] = gC, uC @ cols
+    if screen is not None:
+        screen["norms"] = norms
     return u, g, moved
 
 
@@ -344,9 +394,9 @@ def solve_densest(M: np.ndarray, rounding: str = "greedy_density") -> Selection:
     edges = binarize_constraints(M)
     u = u0 = _power_init(M)
     g = None
-    penalty = _INITIAL_PENALTY
+    penalty, screen = _INITIAL_PENALTY, {}
     while penalty <= m + 1.0:
-        u, g, moved = _ascend(M, edges, penalty, u, g)
+        u, g, moved = _ascend(M, edges, penalty, u, g, screen)
         # Exact early exit: with no non-edge inside W = supp(u) | {g > 0}, g on W
         # is penalty-free and off W only falls, so later stages would repeat
         # this stage's rejected trials and return u unchanged.

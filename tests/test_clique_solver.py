@@ -463,8 +463,8 @@ class TestWorkingSetParity:
         stages = []
         ascend = clique_solver._ascend
 
-        def recording(M, edges, penalty, u, g):
-            stages.append((penalty, *ascend(M, edges, penalty, u, g)))
+        def recording(M, edges, penalty, u, g, screen=None):
+            stages.append((penalty, *ascend(M, edges, penalty, u, g, screen)))
             return stages[-1][1:]
 
         monkeypatch.setattr(clique_solver, "_ascend", recording)
@@ -490,18 +490,28 @@ class TestWorkingSetParity:
         assert exited >= len(instances) // 2
 
 
-# The ascent before the certified refresh: the full-length gradient
-# v @ Md[C, :] is recomputed after every accepted step.
-def every_step_ascend(M, edges, penalty, u, g):
+def formed_rows(M, edges, penalty, W):
+    """Rows Md[W, :], formed whole with np.where, and the block Md[W, W]; all of
+    Md as the solver's `_Penalized` product once |W| > m/2."""
+    if 2 * W.size > M.shape[0]:
+        Md = clique_solver._Penalized(M, edges, penalty)
+        return np.arange(M.shape[0]), Md, Md
+    rows = np.where(edges[W], M[W], -penalty)
+    return W, rows, rows[:, W]
+
+
+# The ascent before the certified refresh: whole rows Md[C, :] held, and the
+# full-length gradient v @ Md[C, :] recomputed after every accepted step.
+def every_step_ascend(M, edges, penalty, u, g, screen=None):
     m = u.shape[0]
-    C, rows, block, _ = clique_solver._penalized_rows(M, edges, penalty, np.flatnonzero((u > 0.0) | (g is None or g > 0.0)))
+    C, rows, block = formed_rows(M, edges, penalty, np.flatnonzero((u > 0.0) | (g is None or g > 0.0)))
     g = u[C] @ rows
     f = None
     moved = False
     for _ in range(_MAX_ITERATIONS):
         W = np.flatnonzero((u > 0.0) | (g > 0.0))
         if 2 * W.size < C.size or not (np.take(C, np.searchsorted(C, W), mode="clip") == W).all():
-            C, rows, block, _ = clique_solver._penalized_rows(M, edges, penalty, W)
+            C, rows, block = formed_rows(M, edges, penalty, W)
         uC, gC = u[C], g[C]
         if f is None:
             f = float(uC @ (uC @ block))
@@ -538,6 +548,26 @@ def scene_pair_affinities():
         yield f"scene-m{M.shape[0]}", M
 
 
+def recording_held(monkeypatch):
+    """Patch the solver so that held[0] is (C, S, penalty) of its current cache."""
+    held = [None]
+    refresh, working_set = clique_solver._refresh, clique_solver._working_set
+
+    def recording_refresh(M, edges, penalty, C, v, S, norms=None):
+        out = refresh(M, edges, penalty, C, v, S, norms)
+        held[0] = (C, out[3], penalty)
+        return out
+
+    def recording_working_set(M, edges, penalty, u, g, norms):
+        out = working_set(M, edges, penalty, u, g, norms)
+        held[0] = (out[0], out[4], penalty)
+        return out
+
+    monkeypatch.setattr(clique_solver, "_refresh", recording_refresh)
+    monkeypatch.setattr(clique_solver, "_working_set", recording_working_set)
+    return held
+
+
 class TestCertifiedRefresh:
     @pytest.fixture(scope="class")
     def instances(self):
@@ -555,58 +585,60 @@ class TestCertifiedRefresh:
             assert np.max(np.abs(sel.u - ref.u)) <= U_TOLERANCE, name
 
     def test_returned_gradient_is_exact(self, instances, monkeypatch):
-        built = []
+        # Exact on C | S up to the rounding the certificate allows for
+        # (4 |C| eps |Md[C, i]|, |u| = 1), against a product with the formed
+        # rows; <= 0 elsewhere, as the formed product is there too.
         stages = []
-        penalized_rows, ascend = clique_solver._penalized_rows, clique_solver._ascend
+        ascend = clique_solver._ascend
+        held = recording_held(monkeypatch)
 
-        def recording_rows(M, edges, penalty, W):
-            built[:] = [penalized_rows(M, edges, penalty, W)]
-            return built[0]
-
-        def recording_ascend(M, edges, penalty, u, g):
-            u, g, moved = ascend(M, edges, penalty, u, g)
-            stages.append((M, edges, penalty, built[0][0], u, g))
+        def recording_ascend(M, edges, penalty, u, g, screen=None):
+            u, g, moved = ascend(M, edges, penalty, u, g, screen)
+            stages.append((M, edges, *held[0], u, g))
             return u, g, moved
 
-        monkeypatch.setattr(clique_solver, "_penalized_rows", recording_rows)
         monkeypatch.setattr(clique_solver, "_ascend", recording_ascend)
-        full = 0
+        full = partial = held_columns = 0
         for name, M in instances:
             stages.clear()
             solve_densest(M)
-            for M, edges, penalty, C, u, g in stages:
+            for M, edges, C, S, penalty, u, g in stages:
                 if C.size == M.shape[0]:  # all of Md: the solver's product, pinned by TestPenalizedProducts
-                    rows = clique_solver._Penalized(M, edges, penalty)
+                    assert S.size == 0 and np.array_equal(g, u @ clique_solver._Penalized(M, edges, penalty)), name
                     full += 1
-                else:
-                    rows = np.where(edges[C], M[C], -penalty)
-                assert np.array_equal(g, u[C] @ rows), name
-        assert full > 0
+                    continue
+                rows = np.where(edges[C], M[C], -penalty)
+                exact, known = u[C] @ rows, np.zeros(M.shape[0], dtype=bool)
+                known[C] = known[S] = True
+                bound = 4.0 * C.size * np.finfo(float).eps * np.sqrt(np.einsum("ij,ij->j", rows, rows))
+                assert (np.abs(g - exact) <= bound)[known].all(), name
+                assert g[~known].max(initial=0.0) <= 0.0 and exact[~known].max(initial=0.0) <= 0.0, name
+                partial += 1
+                held_columns += S.size
+        assert full > 0 and partial > 0 and held_columns > 0
 
     def test_skipped_refreshes_are_sound(self, instances, monkeypatch):
-        # At every step where the certificate holds, the refresh it skips
-        # would have found g <= 0 everywhere off C.
-        built = []
+        # At every step where the certificate holds, a formed product finds
+        # g <= 0 on every column the step does not read: all but C and the
+        # first k columns of S (those past their reach).
         decisions = []
-        penalized_rows, certified = clique_solver._penalized_rows, clique_solver._certified
+        held = recording_held(monkeypatch)
+        lapsed = clique_solver._lapsed
 
-        def recording_rows(M, edges, penalty, W):
-            built[:] = [penalized_rows(M, edges, penalty, W)]
-            return built[0]
+        def checking(v, ref, reach, radius):
+            k = lapsed(v, ref, reach, radius)
+            C, S, penalty = held[0]
+            if C.size < M.shape[0]:  # a partial cache: all of Md needs no certificate
+                decisions.append(k is not None)
+                if k is not None:
+                    off = np.ones(M.shape[0], dtype=bool)
+                    off[C] = off[S[:k]] = False
+                    assert (v @ np.where(edges[C], M[C], -penalty))[off].max() <= 0.0
+            return k
 
-        def checking(v, ref, radius):
-            holds = certified(v, ref, radius)
-            decisions.append(holds)
-            if holds:
-                C, rows = built[0][:2]
-                off = np.ones(rows.shape[1], dtype=bool)
-                off[C] = False
-                assert (v @ rows)[off].max() <= 0.0
-            return holds
-
-        monkeypatch.setattr(clique_solver, "_penalized_rows", recording_rows)
-        monkeypatch.setattr(clique_solver, "_certified", checking)
+        monkeypatch.setattr(clique_solver, "_lapsed", checking)
         for _, M in instances:
+            edges = binarize_constraints(M)
             solve_densest(M)
         assert sum(decisions) >= 0.8 * len(decisions) > 1000
 
@@ -655,9 +687,12 @@ class TestPenalizedProducts:
                 assert np.max(np.abs(out - v @ np.where(edges, M, -penalty))) <= 1e-12 * penalty, name
                 penalty *= _PENALTY_GROWTH
 
-    def test_partial_rows_bitwise_equal_to_formed_rows(self):
+    def test_held_entries_bitwise_equal_to_formed_rows(self):
         # Off-edge entries of -0.0 and -1e-13 pass validation and must come
-        # out as -penalty exactly, as np.where makes them.
+        # out as -penalty exactly, as np.where makes them: in the block
+        # Md[C, C], in columns read in the pass (S given) and in columns
+        # screened by it and read after it (S None).  g and the norms are
+        # sums over row blocks, equal to the formed ones up to rounding.
         rng = np.random.default_rng(17)
         m = 300
         M = random_gated_matrix(rng, m)
@@ -667,19 +702,31 @@ class TestPenalizedProducts:
         assert clique_solver._validate_affinity(M) is not None
         edges = binarize_constraints(M)
         assert np.signbit(M[~edges]).any() and (M[~edges] == -1e-13).any()
-        for size in (1, 63, 64, 65, 150):
-            W = np.sort(rng.choice(m, size, replace=False))
+        assert clique_solver._PASS_ROWS == 32
+        screened = 0
+        for size in (1, 31, 32, 33, 150):
+            C = np.sort(rng.choice(m, size, replace=False))
+            v = rng.uniform(0.0, 1.0, size)
+            v /= np.linalg.norm(v)
             for penalty in (_INITIAL_PENALTY, 7.3, m + 1.0):
-                C, rows, block, lip = clique_solver._penalized_rows(M, edges, penalty, W)
-                ref = np.where(edges[W], M[W], -penalty)
-                assert np.array_equal(C, W)
-                assert rows.tobytes() == ref.tobytes()
-                assert block.tobytes() == ref[:, W].tobytes()
-                assert lip.tobytes() == np.sqrt(np.einsum("ij,ij->j", ref, ref)).tobytes()
+                ref = np.where(edges[C], M[C], -penalty)
+                norms = np.sqrt(np.einsum("ij,ij->j", ref, ref))
+                g, block, got_norms, S, cols, _, _ = clique_solver._refresh(M, edges, penalty, C, v, None)
+                assert block.tobytes() == ref[:, C].tobytes()
+                assert cols.tobytes() == ref[:, S].tobytes()
+                assert np.all(np.abs(got_norms - norms) <= 1e-12 * norms)
+                assert np.all(np.abs(g - v @ ref) <= 4.0 * size * np.finfo(float).eps * norms)
+                screened += S.size
+                given = rng.permutation(np.setdiff1d(np.arange(m), C))[:40]
+                out = clique_solver._refresh(M, edges, penalty, C, v, given, got_norms)
+                assert out[1] is None and out[3] is given and out[4].tobytes() == ref[:, given].tobytes()
+                assert out[0].tobytes() == g.tobytes()
+        assert screened > 0
 
-    def test_no_second_m_by_m_float_array(self, instances):
-        # Above its input, a solve holds at most one m x m float array's
-        # worth of bytes; forming Md took 1.14 of them at m = 1002.
+    def test_peak_at_most_0_59_m_by_m_float_arrays(self, instances):
+        # Above its input, a solve holds at most 0.59 of one m x m float
+        # array's worth of bytes at m = 1002 (0.536 measured, plus 10%);
+        # forming Md took 1.14 of them, and holding whole rows Md[C, :] 0.78.
         M = instances[-1][1]
         m = M.shape[0]
         tracemalloc.start()
@@ -690,26 +737,27 @@ class TestPenalizedProducts:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 1.0 * 8 * m * m
+        assert peak <= 0.59 * 8 * m * m
 
 
 # The ascent before it kept u and g on the working set: full-length u and g
 # after every accepted step, W and the W-in-C test over all m entries, and
-# norms through np.linalg.norm.
-def full_length_ascend(M, edges, penalty, u, g):
+# norms through np.linalg.norm.  It takes the solver's own cache, and the
+# last stage's norms to screen the first build, so both take the same products.
+def full_length_ascend(M, edges, penalty, u, g, screen):
     m = u.shape[0]
-    C, rows, block, lip = clique_solver._penalized_rows(M, edges, penalty, np.flatnonzero((u > 0.0) | (g is None or g > 0.0)))
-    g = u[C] @ rows
-    ref, radius, f = None, 0.0, None
-    moved = stale = False
+    C, g, block, norms, S, cols, reach, radius = clique_solver._working_set(M, edges, penalty, u, g, screen.get("norms"))
+    ref, f = u[C], None
+    moved = False
     for _ in range(_MAX_ITERATIONS):
         W = np.flatnonzero((u > 0.0) | (g > 0.0))
         if 2 * W.size < C.size or not (np.take(C, np.searchsorted(C, W), mode="clip") == W).all():
-            rows = block = lip = ref = None
-            C, rows, block, lip = clique_solver._penalized_rows(M, edges, penalty, W)
+            block = cols = None
+            C, g, block, norms, S, cols, reach, radius = clique_solver._working_set(M, edges, penalty, u, g, norms)
+            ref = u[C]
         uC, gC = u[C], g[C]
         if f is None:
-            f = float(uC @ (uC @ block))
+            f = float(uC @ (gC if norms is None else uC @ block))
             alpha = 1.0 / max(1.0, abs(f))
         step = alpha
         for _ in range(40):
@@ -727,18 +775,20 @@ def full_length_ascend(M, edges, penalty, u, g):
         moved = True
         u = np.zeros(m)
         u[C] = v
-        stale = rows is not block and ref is not None and float(np.linalg.norm(v - ref)) <= radius
-        if rows is block or stale:
-            g[C] = gv
+        delta = float(np.linalg.norm(v - ref))
+        if delta > radius:
+            g, _, _, S, cols, reach, radius = clique_solver._refresh(
+                M, edges, penalty, C, v, clique_solver._screen(g, norms, C), norms
+            )
+            ref = v
         else:
-            g = v @ rows
-            slack = np.divide(-g, lip, out=np.zeros(m), where=lip > 0.0)
-            ref, radius = v, float(np.delete(slack, C).min()) - 4.0 * C.size * np.finfo(float).eps
+            k = int(np.searchsorted(reach, delta))
+            g[S[:k]] = v @ cols[:, :k]
+        g[C] = gv
         f, alpha = fv, step * 2.0
         if float(np.linalg.norm(v - uC)) < _TOL:
             break
-    if stale:
-        g = u[C] @ rows
+    g[S] = u[C] @ cols
     return u, g, moved
 
 
@@ -747,9 +797,9 @@ class TestWorkingSetArrays:
         ascend = clique_solver._ascend
         stages = []
 
-        def checking(M, edges, penalty, u, g):
-            ref = full_length_ascend(M, edges, penalty, u.copy(), None if g is None else g.copy())
-            out = ascend(M, edges, penalty, u, g)
+        def checking(M, edges, penalty, u, g, screen):
+            ref = full_length_ascend(M, edges, penalty, u.copy(), None if g is None else g.copy(), screen)
+            out = ascend(M, edges, penalty, u, g, screen)
             stages.append(out[2] == ref[2] and all(a.tobytes() == b.tobytes() for a, b in zip(out[:2], ref[:2])))
             return out
 
