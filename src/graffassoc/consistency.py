@@ -154,10 +154,16 @@ class ConsistencyParams:
             raise ValueError("epsilon, sigma and rho must all be positive")
 
 
+def _candidate_pairs(scan_i: Scan, scan_j: Scan) -> tuple[np.ndarray, np.ndarray, list[Candidate]]:
+    """Every same-dimension pairing in lexicographic (a, b) order, as the index
+    arrays a and b and as the list of `Candidate`s built from them."""
+    a_idx, b_idx = np.nonzero(scan_i.kinds[:, None] == scan_j.kinds[None, :])
+    return a_idx, b_idx, [Candidate(a, b) for a, b in zip(a_idx.tolist(), b_idx.tolist())]
+
+
 def generate_candidates(scan_i: Scan, scan_j: Scan) -> list[Candidate]:
     """All same-dimension object pairings, in lexicographic (a, b) order."""
-    a_idx, b_idx = np.nonzero(scan_i.kinds[:, None] == scan_j.kinds[None, :])
-    return [Candidate(a, b) for a, b in zip(a_idx.tolist(), b_idx.tolist())]
+    return _candidate_pairs(scan_i, scan_j)[2]
 
 
 def weight(c: float, params: ConsistencyParams) -> float:
@@ -290,15 +296,14 @@ def _blockwise_affinity(terms, a_idx: np.ndarray, b_idx: np.ndarray, epsilon: fl
         r1 = min(r0 + _AFFINITY_ROWS, m)
         a_r, b_r, a_c, b_c = a_idx[r0:r1], b_idx[r0:r1], a_idx[r0:], b_idx[r0:]
         block = M[r0:r1, r0:]
-        keep = np.ones(block.shape, dtype=bool)
         for t, (D_i, D_j, denom) in enumerate(terms):
-            C = D_i[a_r][:, a_c] - D_j[b_r][:, b_c]
+            C = np.take(D_i[a_r], a_c, axis=1)
+            C -= np.take(D_j[b_r], b_c, axis=1)
             np.abs(C, out=C)
-            keep &= C < epsilon
+            keep = C < epsilon if t == 0 else keep & (C < epsilon)
             np.multiply(C, C, out=C)
-            np.negative(C, out=C)
-            np.divide(C, denom, out=C)
-            np.maximum(C, -(epsilon * epsilon) / denom, out=C)
+            np.divide(C, -denom, out=C)  # exactly -(C * C) / denom: negation commutes with rounding
+            np.maximum(C, (epsilon * epsilon) / -denom, out=C)
             if t == 0:
                 np.exp(C, out=block)
             else:
@@ -323,13 +328,12 @@ def build_affinity(
     instead of silently truncating it.
     """
     distance_fn = DistanceFn(distance_fn)
-    candidates = generate_candidates(scan_i, scan_j)
+    a_idx, b_idx, candidates = _candidate_pairs(scan_i, scan_j)
     m = len(candidates)
     if max_candidates is not None and m > max_candidates:
         raise ValueError(f"candidate set of size {m} exceeds the cap of {max_candidates}")
     if m == 0:
         return np.zeros((0, 0)), candidates
-    a_idx, b_idx = np.array(candidates).T
 
     distances = {
         DistanceFn.GRAFF_SHIFTED: lambda scan: internal_distance_matrix(scan, params.rho),

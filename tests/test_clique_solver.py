@@ -25,7 +25,7 @@ from graffassoc.clique_solver import (
     _POWER_ITERATIONS,
     _TOL,
     ROUNDING_RULES,
-    _power_init,
+    _perron_vector,
 )
 
 
@@ -320,7 +320,7 @@ def dense_relaxation(M, early_exit=False):
     m = M.shape[0]
     edges = binarize_constraints(M)
     violations = (~edges).astype(float)
-    u = _power_init(M)
+    u = _perron_vector(M)
     penalty = _INITIAL_PENALTY
     stages = 0
     while penalty <= m + 1.0:
@@ -417,7 +417,7 @@ def reference_round(u, u0, M, edges, rounding):
 
 def reference_solve(M, rounding):
     u, _ = dense_relaxation(M)
-    indices, _ = reference_round(u, _power_init(M), M, binarize_constraints(M), rounding)
+    indices, _ = reference_round(u, _perron_vector(M), M, binarize_constraints(M), rounding)
     return Selection(indices, u, reference_density(M, indices))
 
 
@@ -681,7 +681,7 @@ class TestPenalizedProducts:
                 assert np.max(np.abs(out - v @ np.where(edges, M, -penalty))) <= 1e-12, name
             # Every penalty of the schedule: the products grow with it, and so
             # does the rounding of both sides.
-            v, penalty = _power_init(M), _INITIAL_PENALTY
+            v, penalty = _perron_vector(M), _INITIAL_PENALTY
             while penalty <= M.shape[0] + 1.0:
                 out = v @ clique_solver._Penalized(M, edges, penalty)
                 assert np.max(np.abs(out - v @ np.where(edges, M, -penalty))) <= 1e-12 * penalty, name
@@ -812,7 +812,7 @@ class TestWorkingSetArrays:
 
 
 def fixed_power_init(M):
-    """The init before the tol stop: always _POWER_ITERATIONS steps."""
+    """The power method from the uniform vector, always _POWER_ITERATIONS products: the start vector's reference."""
     u = np.full(M.shape[0], 1.0 / np.sqrt(M.shape[0]))
     for _ in range(_POWER_ITERATIONS):
         v = M @ u
@@ -863,44 +863,52 @@ def counted_matvecs(M):
     return M.view(Counting), Counting
 
 
-class TestConvergedPowerInit:
+class TestPerronStartVector:
     @pytest.mark.parametrize("rounding", ROUNDING_RULES)
     def test_keeps_selections(self, rounding, monkeypatch):
         for name, M in [*parity_instances(), *criterion_4_planted()]:
             sel = solve_densest(M, rounding=rounding)
             with monkeypatch.context() as patch:
-                patch.setattr(clique_solver, "_power_init", fixed_power_init)
+                patch.setattr(clique_solver, "_perron_vector", fixed_power_init)
                 ref = solve_densest(M, rounding=rounding)
             assert sel.indices == ref.indices, name
             assert sel.objective == ref.objective, name
 
-    def test_stops_early_on_scan_affinities(self):
+    def test_nonnegative_unit_and_close_to_the_power_method(self):
+        for name, M in parity_instances():
+            u = _perron_vector(M)
+            assert u.min() >= 0.0, name
+            assert abs(np.linalg.norm(u) - 1.0) <= 1e-15, name
+            assert np.max(np.abs(u - fixed_power_init(M))) <= 1e-8, name
+
+    def test_scan_affinities_take_at_most_20_products(self):
         for name, M in parity_instances():
             if name.startswith("scan-"):
                 counted, counter = counted_matvecs(M)
-                _power_init(counted)
-                assert counter.calls < _POWER_ITERATIONS, name
+                _perron_vector(counted)
+                assert counter.calls <= 20, name
 
     def test_single_candidate(self):
         counted, counter = counted_matvecs(np.ones((1, 1)))
-        assert np.array_equal(_power_init(counted), [1.0])
+        assert np.array_equal(_perron_vector(counted), [1.0])
         assert counter.calls == 1
 
     def test_identity_stops_at_once(self):
         counted, counter = counted_matvecs(np.eye(7))
-        assert np.allclose(_power_init(counted), 1.0 / np.sqrt(7), rtol=0.0, atol=1e-15)
+        assert np.allclose(_perron_vector(counted), 1.0 / np.sqrt(7), rtol=0.0, atol=1e-15)
         assert counter.calls == 1
 
     def test_disconnected_blocks(self):
-        # Two blocks of 3 and 5: the iterate drains from the smaller one at
-        # rate 3/5, so the stop comes well before the cap, close to the
-        # capped result, and the larger block is selected either way.
+        # Two blocks of 3 and 5: the uniform start lies in a two-dimensional
+        # invariant subspace, so Lanczos ends there, on the larger block's
+        # Perron vector that the power method reaches by draining the smaller
+        # block at rate 2.8/5; the larger block is selected either way.
         M = block_diag_ones([3, 5])
         M[:3, :3] = 0.9
         np.fill_diagonal(M, 1.0)
         counted, counter = counted_matvecs(M)
-        u = _power_init(counted)
-        assert 10 < counter.calls < _POWER_ITERATIONS
+        u = _perron_vector(counted)
+        assert counter.calls < _POWER_ITERATIONS
         assert np.max(np.abs(u - fixed_power_init(M))) <= 1e-7
         assert solve_densest(M).indices == (3, 4, 5, 6, 7)
 
@@ -944,7 +952,7 @@ class TestVectorizedRounding:
         for name, M in instances:
             sel = solve_densest(M, rounding=rounding)
             edges = binarize_constraints(M)
-            ref, tied = reference_round(sel.u, _power_init(M), M, edges, rounding)
+            ref, tied = reference_round(sel.u, _perron_vector(M), M, edges, rounding)
             if sel.indices != ref and tied:
                 S = list(sel.indices)
                 assert edges[np.ix_(S, S)].all(), name

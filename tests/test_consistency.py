@@ -690,6 +690,89 @@ class TestBlockwiseAffinity:
         assert peak <= 1.5 * 8 * m * m
 
 
+def _reference_blockwise_affinity(terms, a_idx, b_idx, epsilon):
+    """`_blockwise_affinity` as it stood before its leaner passes (two-step
+    fancy gathers, a mask started from np.ones, the exponent negated and then
+    divided).  Kept as the bitwise oracle for the kernel."""
+    m = len(a_idx)
+    M = np.empty((m, m))
+    for r0 in range(0, m, consistency._AFFINITY_ROWS):
+        r1 = min(r0 + consistency._AFFINITY_ROWS, m)
+        a_r, b_r, a_c, b_c = a_idx[r0:r1], b_idx[r0:r1], a_idx[r0:], b_idx[r0:]
+        block = M[r0:r1, r0:]
+        keep = np.ones(block.shape, dtype=bool)
+        for t, (D_i, D_j, denom) in enumerate(terms):
+            C = D_i[a_r][:, a_c] - D_j[b_r][:, b_c]
+            np.abs(C, out=C)
+            keep &= C < epsilon
+            np.multiply(C, C, out=C)
+            np.negative(C, out=C)
+            np.divide(C, denom, out=C)
+            np.maximum(C, -(epsilon * epsilon) / denom, out=C)
+            if t == 0:
+                np.exp(C, out=block)
+            else:
+                block *= np.exp(C, out=C)
+        block *= keep
+        M[r1:, r0:r1] = M[r0:r1, r1:].T
+    np.fill_diagonal(M, 1.0)
+    return M
+
+
+def _random_terms(rng, n, epsilon, two_terms):
+    """Symmetric within-scan distance matrices (zero diagonal) whose
+    differences fall on both sides of epsilon, as kernel terms."""
+
+    def distances():
+        D = rng.uniform(0.0, 2.0 * epsilon, (n, n))
+        D = (D + D.T) / 2.0
+        np.fill_diagonal(D, 0.0)
+        return D
+
+    if two_terms:
+        return [(distances(), distances(), 0.02**2), (distances(), distances(), 0.02**2)]
+    return [(distances(), distances(), 2.0 * 0.02**2)]
+
+
+class TestLeanAffinityKernel:
+    @pytest.mark.parametrize("fn", list(DistanceFn))
+    def test_scan_pairs_bitwise(self, monkeypatch, fn):
+        from graffassoc import PairConfig, SceneConfig, generate_scene, make_loop_pair
+
+        for seed in (21, 31):
+            pair = make_loop_pair(generate_scene(SceneConfig(seed=seed)), PairConfig(clutter=4, seed=seed + 1))
+            M, _ = build_affinity(pair.scan_i, pair.scan_j, ConsistencyParams(), fn)
+            with monkeypatch.context() as patch:
+                patch.setattr(consistency, "_blockwise_affinity", _reference_blockwise_affinity)
+                ref, _ = build_affinity(pair.scan_i, pair.scan_j, ConsistencyParams(), fn)
+            assert M.tobytes() == ref.tobytes()
+            assert 0.0 < np.mean(M == 0.0) < 1.0  # both gated and ungated pairs
+
+    @pytest.mark.parametrize("m", [1, 63, 64, 65])
+    @pytest.mark.parametrize("two_terms", [False, True], ids=["one_term", "two_terms"])
+    def test_direct_calls_bitwise(self, m, two_terms):
+        assert consistency._AFFINITY_ROWS == 64
+        rng = np.random.default_rng(m)
+        terms = _random_terms(rng, 9, 0.2, two_terms)
+        a_idx, b_idx = rng.integers(0, 9, m), rng.integers(0, 9, m)
+        M = _blockwise_affinity(terms, a_idx, b_idx, 0.2)
+        assert M.tobytes() == _reference_blockwise_affinity(terms, a_idx, b_idx, 0.2).tobytes()
+        if m > 1:
+            assert 0.0 < np.mean(M == 0.0) < 1.0
+
+    @pytest.mark.parametrize("two_terms", [False, True], ids=["one_term", "two_terms"])
+    def test_fully_gated_pair(self, two_terms):
+        # Every pair of distinct objects differs by 1 > epsilon between the scans.
+        n = 70
+        idx = np.arange(n)
+        far = np.ones((n, n))
+        np.fill_diagonal(far, 0.0)
+        terms = [(np.zeros((n, n)), far, 2.0 * 0.02**2)] * (2 if two_terms else 1)
+        M = _blockwise_affinity(terms, idx, idx, 0.2)
+        assert M.tobytes() == _reference_blockwise_affinity(terms, idx, idx, 0.2).tobytes()
+        assert M.tobytes() == np.eye(n).tobytes()
+
+
 class TestUniqueMatches:
     def test_keeps_higher_scored_duplicate(self):
         cands = [Candidate(0, 0), Candidate(0, 1), Candidate(1, 1)]
