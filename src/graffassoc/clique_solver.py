@@ -35,7 +35,6 @@ BRUTE_FORCE_LIMIT = 20
 _POWER_ITERATIONS = 100  # cap on the start vector's products with M
 _RITZ_TOL = 1e-9  # the start vector stops at a Ritz residual of at most this times the Ritz value
 _RITZ_FIRST = 12  # first Lanczos step that checks its Ritz pair; scan affinities converge in 13-20
-_RITZ_EVERY_M = 512  # from this m on a product costs more than a Ritz check, so every step checks
 _MAX_ITERATIONS = 150  # gradient steps per penalty stage
 _TOL = 1e-8  # convergence threshold on iterate change
 _INITIAL_PENALTY = 0.25
@@ -104,8 +103,7 @@ def _perron_vector(M: np.ndarray) -> np.ndarray:
     (about 0.4) and better, in about half the products.  Each Lanczos vector
     is orthogonalized against all earlier ones twice.  Lanczos stops once the
     Ritz residual |Mx - theta x| = b |s_last| of T's top pair is at most
-    _RITZ_TOL * theta, checked from step _RITZ_FIRST on (at every second step
-    below m = _RITZ_EVERY_M, where a check costs several products); at an
+    _RITZ_TOL * theta, checked at every step from _RITZ_FIRST on; at an
     invariant subspace (b <= _RITZ_TOL * T[0, 0], one product for the
     identity); or after min(m, _POWER_ITERATIONS) products.
     """
@@ -113,7 +111,6 @@ def _perron_vector(M: np.ndarray) -> np.ndarray:
     k = min(m, _POWER_ITERATIONS)
     Q, T = np.empty((k, m)), np.zeros((k, k))  # Lanczos vectors as rows; T's lower triangle
     Q[0] = 1.0 / math.sqrt(m)
-    stride = 1 if m >= _RITZ_EVERY_M else 2
     for j in range(k):
         w = M @ Q[j]
         for _ in range(2):
@@ -122,7 +119,7 @@ def _perron_vector(M: np.ndarray) -> np.ndarray:
             T[j, j] += h[j]
         b = math.sqrt(w @ w)
         last = j + 1 == k or b <= _RITZ_TOL * T[0, 0]
-        if last or (j + 1 >= _RITZ_FIRST and (j + 1 - _RITZ_FIRST) % stride == 0):
+        if last or j + 1 >= _RITZ_FIRST:
             theta, S = np.linalg.eigh(T[: j + 1, : j + 1])
             s = S[:, -1]
             if last or b * abs(s[-1]) <= _RITZ_TOL * theta[-1]:
@@ -221,7 +218,7 @@ def _working_set(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray
     return np.arange(m), u @ Md, Md, None, np.zeros(0, dtype=np.intp), np.zeros((m, 0)), np.zeros(0), math.inf
 
 
-def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, screen=None):
+def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, norms):
     """Projected gradient ascent of u'(Md)u on the nonnegative unit sphere.
 
     Trials max(u + s*g, 0) lie inside W = supp(u) | {g > 0}: they are scored on
@@ -230,12 +227,12 @@ def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, 
     their reach, and is certified <= 0 elsewhere until v leaves the radius of
     the last global refresh, which then runs at v.  `g` is the last stage's
     gradient at u, or None; a larger penalty only lowers it, so it bounds W.
-    The returned g is exact on C | S, elsewhere its value at that refresh, <= 0.
-    `screen`, kept by the caller across stages, carries the last column norms
-    so that the first build screens its columns before its pass.
+    `norms`, the last stage's last column norms (None after all of Md), let
+    the first build screen before its pass.  Returns u, g (exact on C | S, else
+    its value at the last refresh, <= 0), moved and this stage's last norms.
     """
     m = u.shape[0]
-    C, g, block, norms, S, cols, reach, radius = _working_set(M, edges, penalty, u, g, (screen or {}).get("norms"))
+    C, g, block, norms, S, cols, reach, radius = _working_set(M, edges, penalty, u, g, norms)
     uC, gC, gS, ref, f = u[C], g[C], g[S], u[C], None
     outside = np.count_nonzero(g > 0.0) > np.count_nonzero(gC > 0.0)  # W leaves C
     moved = False
@@ -282,9 +279,7 @@ def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, 
         u = np.zeros(m)
         u[C] = uC
     g[C], g[S] = gC, uC @ cols
-    if screen is not None:
-        screen["norms"] = norms
-    return u, g, moved
+    return u, g, moved, norms
 
 
 def _round_greedy(order: np.ndarray, M: np.ndarray, edges: np.ndarray, cap: int | None) -> list[int]:
@@ -395,8 +390,9 @@ def _round(u: np.ndarray, u0: np.ndarray, M: np.ndarray, edges: np.ndarray, roun
 def solve_densest(M: np.ndarray, rounding: str = "greedy_density") -> Selection:
     """Approximately solve the densest-subset problem on an affinity matrix.
 
-    Deterministic: the start vector is M's Perron vector, by Lanczos from
-    the all-ones vector, stopped on its Ritz residual (`_RITZ_TOL`).
+    Deterministic: the start vector is M's Perron vector, by Lanczos from the
+    all-ones vector, stopped at the first step from `_RITZ_FIRST` whose Ritz
+    residual passes `_RITZ_TOL`.
     Rounding ranks candidates by u, then by that start vector, and by index
     only where both tie exactly; no other step reads a label.  The climb
     breaks a tie between moves by that rank only when their running sums
@@ -420,10 +416,10 @@ def solve_densest(M: np.ndarray, rounding: str = "greedy_density") -> Selection:
         return Selection((), np.zeros(0), 0.0)
     edges = binarize_constraints(M)
     u = u0 = _perron_vector(M)
-    g = None
-    penalty, screen = _INITIAL_PENALTY, {}
+    g = norms = None
+    penalty = _INITIAL_PENALTY
     while penalty <= m + 1.0:
-        u, g, moved = _ascend(M, edges, penalty, u, g, screen)
+        u, g, moved, norms = _ascend(M, edges, penalty, u, g, norms)
         # Exact early exit: with no non-edge inside W = supp(u) | {g > 0}, g on W
         # is penalty-free and off W only falls, so later stages would repeat
         # this stage's rejected trials and return u unchanged.

@@ -364,11 +364,14 @@ class CampaignConfig:
             raise ValueError("trials must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        object.__setattr__(self, "tiers", tuple(self.tiers))
         for tier in self.tiers:
             if tier not in TIER_TABLE:
                 raise ValueError(f"unknown tier {tier!r}; expected one of {sorted(TIER_TABLE)}")
-        object.__setattr__(self, "tiers", tuple(self.tiers))
         object.__setattr__(self, "distance_fns", tuple(DistanceFn(f) for f in self.distance_fns))
+        for axis in ("tiers", "distance_fns"):  # an empty axis would run no trial
+            if not getattr(self, axis):
+                raise ValueError(f"{axis} must name at least one value")
         # Built once, here, so that a bad value fails before any trial runs;
         # each trial only sets the seeds.
         object.__setattr__(self, "_params", ConsistencyParams(epsilon=self.epsilon, sigma=self.sigma, rho=self.rho))

@@ -492,12 +492,14 @@ class TestBenchCommand:
             ("noise_disp_m", "-0.1", "noise levels must be nonnegative and finite"),
             ("rho", "-1", "epsilon, sigma and rho must all be positive"),
             ("noise_dir_deg", "nan", "noise levels must be nonnegative and finite"),
+            ("tiers", "", "tiers must name at least one value"),
+            ("distance_fns", "", "distance_fns must name at least one value"),
         ],
-        ids=["clutter", "overlap_hard", "n_lines", "noise_disp_m", "rho", "noise_dir_deg"],
+        ids=["clutter", "overlap_hard", "n_lines", "noise_disp_m", "rho", "noise_dir_deg", "no_tiers", "no_distance_fns"],
     )
     def test_bad_config_value_fails_before_any_trial(self, tmp_path, capsys, key, value, message):
         cfg = tmp_path / "c.txt"
-        self._write_config(cfg, tiers="easy,medium,hard", **{key: value})
+        self._write_config(cfg, **{"tiers": "easy,medium,hard", key: value})
         out = tmp_path / "o"
         assert main(["bench", str(cfg), "--out", str(out)]) == 1
         assert re.fullmatch(f"error: {re.escape(str(cfg))}: {message}\n", capsys.readouterr().err)

@@ -23,6 +23,8 @@ from graffassoc.clique_solver import (
     _MAX_ITERATIONS,
     _PENALTY_GROWTH,
     _POWER_ITERATIONS,
+    _RITZ_FIRST,
+    _RITZ_TOL,
     _TOL,
     ROUNDING_RULES,
     _perron_vector,
@@ -463,8 +465,8 @@ class TestWorkingSetParity:
         stages = []
         ascend = clique_solver._ascend
 
-        def recording(M, edges, penalty, u, g, screen=None):
-            stages.append((penalty, *ascend(M, edges, penalty, u, g, screen)))
+        def recording(M, edges, penalty, u, g, norms):
+            stages.append((penalty, *ascend(M, edges, penalty, u, g, norms)))
             return stages[-1][1:]
 
         monkeypatch.setattr(clique_solver, "_ascend", recording)
@@ -472,10 +474,10 @@ class TestWorkingSetParity:
         for name, M in instances:
             stages.clear()
             solve_densest(M)
-            penalty, u, g, _ = stages[-1]
+            penalty, u, g, _, norms = stages[-1]
             edges = binarize_constraints(M)
             while (penalty := penalty * _PENALTY_GROWTH) <= M.shape[0] + 1.0:
-                u_next, g, moved = ascend(M, edges, penalty, u, g)
+                u_next, g, moved, norms = ascend(M, edges, penalty, u, g, norms)
                 assert not moved and np.array_equal(u_next, u), name
                 skipped += 1
         assert skipped >= len(instances)
@@ -502,7 +504,7 @@ def formed_rows(M, edges, penalty, W):
 
 # The ascent before the certified refresh: whole rows Md[C, :] held, and the
 # full-length gradient v @ Md[C, :] recomputed after every accepted step.
-def every_step_ascend(M, edges, penalty, u, g, screen=None):
+def every_step_ascend(M, edges, penalty, u, g, norms):
     m = u.shape[0]
     C, rows, block = formed_rows(M, edges, penalty, np.flatnonzero((u > 0.0) | (g is None or g > 0.0)))
     g = u[C] @ rows
@@ -535,7 +537,7 @@ def every_step_ascend(M, edges, penalty, u, g, screen=None):
         g, f, alpha = (gv if rows is block else v @ rows), fv, step * 2.0
         if float(np.linalg.norm(v - uC)) < _TOL:
             break
-    return u, g, moved
+    return u, g, moved, None
 
 
 def scene_pair_affinities():
@@ -592,10 +594,10 @@ class TestCertifiedRefresh:
         ascend = clique_solver._ascend
         held = recording_held(monkeypatch)
 
-        def recording_ascend(M, edges, penalty, u, g, screen=None):
-            u, g, moved = ascend(M, edges, penalty, u, g, screen)
+        def recording_ascend(M, edges, penalty, u, g, norms):
+            u, g, moved, norms = ascend(M, edges, penalty, u, g, norms)
             stages.append((M, edges, *held[0], u, g))
-            return u, g, moved
+            return u, g, moved, norms
 
         monkeypatch.setattr(clique_solver, "_ascend", recording_ascend)
         full = partial = held_columns = 0
@@ -616,6 +618,37 @@ class TestCertifiedRefresh:
                 partial += 1
                 held_columns += S.size
         assert full > 0 and partial > 0 and held_columns > 0
+
+    def test_each_stage_receives_the_last_stages_norms(self, instances, monkeypatch):
+        # Stage 0 and any stage after one whose last build took all of Md get
+        # None; any other gets the norms |Md[C, i]| of the last stage's last
+        # build, the very array that stage returned.
+        stages = []
+        ascend = clique_solver._ascend
+        held = recording_held(monkeypatch)
+
+        def recording(M, edges, penalty, u, g, norms):
+            out = ascend(M, edges, penalty, u, g, norms)
+            stages.append((norms, out[3], *held[0]))
+            return out
+
+        monkeypatch.setattr(clique_solver, "_ascend", recording)
+        after_wide = after_partial = 0
+        for name, M in instances:
+            stages.clear()
+            solve_densest(M)
+            edges = binarize_constraints(M)
+            assert stages[0][0] is None, name
+            for (_, returned, C, _, penalty), (given, *_) in zip(stages, stages[1:]):
+                assert given is returned, name
+                if C.size == M.shape[0]:
+                    assert given is None, name
+                    after_wide += 1
+                    continue
+                rows = np.where(edges[C], M[C], -penalty)
+                assert np.all(np.abs(given - np.sqrt(np.einsum("ij,ij->j", rows, rows))) <= 1e-12 * given), name
+                after_partial += 1
+        assert after_wide > 0 and after_partial > 0
 
     def test_skipped_refreshes_are_sound(self, instances, monkeypatch):
         # At every step where the certificate holds, a formed product finds
@@ -744,9 +777,9 @@ class TestPenalizedProducts:
 # after every accepted step, W and the W-in-C test over all m entries, and
 # norms through np.linalg.norm.  It takes the solver's own cache, and the
 # last stage's norms to screen the first build, so both take the same products.
-def full_length_ascend(M, edges, penalty, u, g, screen):
+def full_length_ascend(M, edges, penalty, u, g, norms):
     m = u.shape[0]
-    C, g, block, norms, S, cols, reach, radius = clique_solver._working_set(M, edges, penalty, u, g, screen.get("norms"))
+    C, g, block, norms, S, cols, reach, radius = clique_solver._working_set(M, edges, penalty, u, g, norms)
     ref, f = u[C], None
     moved = False
     for _ in range(_MAX_ITERATIONS):
@@ -789,7 +822,7 @@ def full_length_ascend(M, edges, penalty, u, g, screen):
         if float(np.linalg.norm(v - uC)) < _TOL:
             break
     g[S] = u[C] @ cols
-    return u, g, moved
+    return u, g, moved, norms
 
 
 class TestWorkingSetArrays:
@@ -797,10 +830,12 @@ class TestWorkingSetArrays:
         ascend = clique_solver._ascend
         stages = []
 
-        def checking(M, edges, penalty, u, g, screen):
-            ref = full_length_ascend(M, edges, penalty, u.copy(), None if g is None else g.copy(), screen)
-            out = ascend(M, edges, penalty, u, g, screen)
-            stages.append(out[2] == ref[2] and all(a.tobytes() == b.tobytes() for a, b in zip(out[:2], ref[:2])))
+        def checking(M, edges, penalty, u, g, norms):
+            ref = full_length_ascend(M, edges, penalty, u.copy(), None if g is None else g.copy(), norms)
+            out = ascend(M, edges, penalty, u, g, norms)
+            same_norms = (out[3] is None) == (ref[3] is None) and (out[3] is None or out[3].tobytes() == ref[3].tobytes())
+            bitwise = all(a.tobytes() == b.tobytes() for a, b in zip(out[:2], ref[:2]))
+            stages.append(out[2] == ref[2] and bitwise and same_norms)
             return out
 
         monkeypatch.setattr(clique_solver, "_ascend", checking)
@@ -809,6 +844,63 @@ class TestWorkingSetArrays:
             solve_densest(M)
             assert all(stages[count:]), name
         assert len(stages) > 300
+
+
+def counted_work(monkeypatch):
+    """Patch the solver to count its work into the returned dict: global
+    refreshes, blocks Md[C, C] built, `_penalized` row builds, products with
+    all of Md, and held-column entries read (|C| per column, filled at a
+    refresh or read at a step once past its reach)."""
+    work = dict.fromkeys(("refreshes", "blocks", "row_builds", "wide_products", "held_entries"), 0)
+    refresh, penalized, lapsed = clique_solver._refresh, clique_solver._penalized, clique_solver._lapsed
+    product = clique_solver._Penalized.__rmatmul__
+
+    def counting_refresh(M, edges, penalty, C, v, S, norms=None):
+        out = refresh(M, edges, penalty, C, v, S, norms)
+        work["refreshes"] += 1
+        work["blocks"] += out[1] is not None
+        work["held_entries"] += C.size * out[3].size
+        return out
+
+    def counting_penalized(*args, **kwargs):
+        work["row_builds"] += 1
+        return penalized(*args, **kwargs)
+
+    def counting_product(self, v):
+        work["wide_products"] += 1
+        return product(self, v)
+
+    def counting_lapsed(v, ref, reach, radius):
+        k = lapsed(v, ref, reach, radius)
+        work["held_entries"] += v.size * (k or 0)
+        return k
+
+    monkeypatch.setattr(clique_solver, "_refresh", counting_refresh)
+    monkeypatch.setattr(clique_solver, "_penalized", counting_penalized)
+    monkeypatch.setattr(clique_solver._Penalized, "__rmatmul__", counting_product)
+    monkeypatch.setattr(clique_solver, "_lapsed", counting_lapsed)
+    return work
+
+
+class TestSolverWork:
+    # Work per solve on the two scene pairs, counted with numpy 2.4.6 and
+    # OpenBLAS 0.3.31 on x86-64.  Each part of the screened cache keeps a
+    # count down: a held column's own reach the held entries read; screening
+    # before the pass, by the last norms, the row builds; the norms carried
+    # across stages and the read after the pass at the first build after all
+    # of Md the refreshes; a refresh keeping its stage's block the blocks
+    # built.  Removing any of them fails here.
+    RECORDED = {
+        "scene-m548": dict(refreshes=18, blocks=17, row_builds=74, wide_products=2, held_entries=299121),
+        "scene-m896": dict(refreshes=15, blocks=15, row_builds=55, wide_products=4, held_entries=378130),
+    }
+
+    def test_work_at_most_the_recorded_counts(self, monkeypatch):
+        work = counted_work(monkeypatch)
+        for name, M in scene_pair_affinities():
+            work.update(dict.fromkeys(work, 0))
+            solve_densest(M)
+            assert all(work[key] <= count for key, count in self.RECORDED[name].items()), (name, work)
 
 
 def fixed_power_init(M):
@@ -850,6 +942,31 @@ def criterion_4_planted():
         yield f"criterion-4-planted-{seed}", A
 
 
+def reference_lanczos_stop(M):
+    """Products and Ritz vector at which Lanczos from the uniform vector q0 is
+    to stop: the first step from _RITZ_FIRST on whose top Ritz pair (theta, x)
+    of M on the Krylov basis Q has |Mx - theta x| <= _RITZ_TOL * theta, a step
+    whose new direction vanishes (norm <= _RITZ_TOL * q0'M q0), or
+    min(m, _POWER_ITERATIONS) steps.  Q is orthonormalized twice by
+    Gram-Schmidt, and the Ritz pairs come from all of Q'MQ, not a tridiagonal."""
+    m, cap = M.shape[0], min(M.shape[0], _POWER_ITERATIONS)
+    Q = np.full((1, m), 1.0 / np.sqrt(m))
+    first = float(Q[0] @ M @ Q[0])
+    for steps in range(1, cap + 1):
+        theta, S = np.linalg.eigh(Q @ M @ Q.T)
+        x = S[:, -1] @ Q
+        w = M @ Q[-1]
+        for _ in range(2):
+            w = w - (Q @ w) @ Q
+        if steps == cap or np.linalg.norm(w) <= _RITZ_TOL * first:
+            break
+        if steps >= _RITZ_FIRST and np.linalg.norm(M @ x - theta[-1] * x) <= _RITZ_TOL * theta[-1]:
+            break
+        Q = np.vstack([Q, w / np.linalg.norm(w)])
+    x = np.maximum(x if x.sum() >= 0.0 else -x, 0.0)
+    return steps, x / np.linalg.norm(x)
+
+
 def counted_matvecs(M):
     """M as an array that counts the products M @ x taken of it."""
 
@@ -887,6 +1004,26 @@ class TestPerronStartVector:
                 counted, counter = counted_matvecs(M)
                 _perron_vector(counted)
                 assert counter.calls <= 20, name
+
+    def test_stops_at_the_first_passing_ritz_step(self):
+        # Every step from _RITZ_FIRST on checks its Ritz pair, whatever m: a
+        # step skipped by the check would cost one product more.
+        blocks = block_diag_ones([3, 5])
+        blocks[:3, :3] = 0.9
+        np.fill_diagonal(blocks, 1.0)
+        stops = []
+        for name, M in [
+            *parity_instances(), *scene_pair_affinities(), *list(criterion_4_random())[:20],
+            ("identity", np.eye(7)), ("single", np.ones((1, 1))), ("blocks", blocks),
+        ]:
+            steps, x = reference_lanczos_stop(M)
+            counted, counter = counted_matvecs(M)
+            u = _perron_vector(counted)
+            assert counter.calls == steps, name
+            assert np.max(np.abs(u - x)) <= 1e-10, name
+            stops.append(steps)
+        # Stops an odd number of steps past _RITZ_FIRST, at m < 512 too.
+        assert sum((steps - _RITZ_FIRST) % 2 for steps in stops[:40] if steps > _RITZ_FIRST) > 5
 
     def test_single_candidate(self):
         counted, counter = counted_matvecs(np.ones((1, 1)))

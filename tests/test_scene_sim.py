@@ -264,6 +264,11 @@ class TestCampaign:
             CampaignConfig(trials=0)
         with pytest.raises(ValueError):
             CampaignConfig(tiers=("impossible",))
+        with pytest.raises(ValueError, match="tiers must name at least one value"):
+            CampaignConfig(tiers=())
+        with pytest.raises(ValueError, match="distance_fns must name at least one value"):
+            CampaignConfig(distance_fns=())
+        assert CampaignConfig(tiers=iter(["easy"])).tiers == ("easy",)  # checked once stored
         with pytest.raises(ValueError, match=r"overlap must lie in \[0, 1\]"):
             CampaignConfig(tiers=("easy",), overlap_hard=1.5)  # checked though hard is not run
 
