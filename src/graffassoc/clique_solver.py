@@ -32,13 +32,12 @@ __all__ = [
 
 BRUTE_FORCE_LIMIT = 20
 
-_POWER_ITERATIONS = 100  # cap on the start vector's products with M
-_RITZ_TOL = 1e-9  # the start vector stops at a Ritz residual of at most this times the Ritz value
+_POWER_ITERATIONS = 100  # cap on every Lanczos run's products
+_RITZ_TOL = 1e-9  # Lanczos stops at a Ritz residual of at most this times the Ritz value
 _RITZ_FIRST = 12  # first Lanczos step that checks its Ritz pair; scan affinities converge in 13-20
 _MAX_ITERATIONS = 150  # gradient steps per penalty stage
 _SETTLE_HELD = 3  # accepted steps in a row on one support size before a settle
-_SETTLE_DIRECT = 40  # supports up to this size settle by eigh, larger ones by Lanczos:
-_SETTLE_TOL, _SETTLE_FIRST, _SETTLE_PRODUCTS = 1e-10, 4, 40  # its Ritz tolerance, first check and cap
+_SETTLE_DIRECT = 40  # supports up to this size settle by eigh, larger ones by Lanczos
 _TOL = 1e-8  # convergence threshold on iterate change
 _INITIAL_PENALTY = 0.25
 _PENALTY_GROWTH = 1.6
@@ -98,11 +97,13 @@ def _binary_density(M: np.ndarray, indices) -> float:
     return float(M[idx[:, None], idx].sum() / idx.size)
 
 
-def _lanczos(A: np.ndarray, q: np.ndarray, tol: float, first: int, cap: int) -> tuple[np.ndarray, bool]:
+def _lanczos(A: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, bool]:
     """Top Ritz vector of A by Lanczos from the unit vector q, each new vector orthogonalized
     twice against all earlier ones, and whether it passed: its residual |Ax - theta x| =
-    b |s_last| is at most tol * theta, checked at every step from `first` on.  Stops once
-    passed, at an invariant subspace (b <= tol * T[0, 0]) or after `cap` products."""
+    b |s_last| is at most _RITZ_TOL * theta, checked at every step from _RITZ_FIRST on.  Stops once
+    passed, at an invariant subspace (b <= _RITZ_TOL * T[0, 0]) or after min(q.size, _POWER_ITERATIONS)
+    products.  The start vector and the settle both run this one schedule."""
+    cap = min(q.size, _POWER_ITERATIONS)
     Q, T = np.empty((cap, q.size)), np.zeros((cap, cap))  # Lanczos vectors as rows; T's lower triangle
     Q[0] = q
     for j in range(cap):
@@ -112,11 +113,11 @@ def _lanczos(A: np.ndarray, q: np.ndarray, tol: float, first: int, cap: int) -> 
             w -= h @ Q[: j + 1]
             T[j, j] += h[j]
         b = math.sqrt(w @ w)
-        last = j + 1 == cap or b <= tol * T[0, 0]
-        if last or j + 1 >= first:
+        last = j + 1 == cap or b <= _RITZ_TOL * T[0, 0]
+        if last or j + 1 >= _RITZ_FIRST:
             theta, S = np.linalg.eigh(T[: j + 1, : j + 1])
             s = S[:, -1]
-            passed = b * abs(s[-1]) <= tol * theta[-1]
+            passed = b * abs(s[-1]) <= _RITZ_TOL * theta[-1]
             if last or passed:
                 break
         T[j + 1, j] = b
@@ -125,12 +126,11 @@ def _lanczos(A: np.ndarray, q: np.ndarray, tol: float, first: int, cap: int) -> 
 
 
 def _perron_vector(M: np.ndarray) -> np.ndarray:
-    """The nonnegative unit Perron vector of M: `_lanczos` from the uniform vector to
-    _RITZ_TOL from step _RITZ_FIRST, at most min(m, _POWER_ITERATIONS) products.  From there
+    """The nonnegative unit Perron vector of M: `_lanczos` from the uniform vector.  From there
     the power method drains at |lambda_min| / lambda_1 (about 0.6 on scan affinities), and
     Lanczos at lambda_2 / lambda_1 (about 0.4) and better, in about half the products."""
     m = M.shape[0]
-    u = _lanczos(M, np.full(m, 1.0 / math.sqrt(m)), _RITZ_TOL, _RITZ_FIRST, min(m, _POWER_ITERATIONS))[0]
+    u = _lanczos(M, np.full(m, 1.0 / math.sqrt(m)))[0]
     if u.sum() < 0.0:
         u = -u
     np.maximum(u, 0.0, out=u)
@@ -161,22 +161,21 @@ def _penalized(M: np.ndarray, edges: np.ndarray, penalty: float, rows: np.ndarra
 
 
 def _screen(g: np.ndarray, norms, C: np.ndarray):
-    """Columns off C with slack -g_i / |Md[C, i]| below _SCREEN, by increasing slack; None without norms."""
+    """Columns off C with slack -g_i / |Md[C, i]| below _SCREEN, in index order; None without norms."""
     if norms is None:
         return None
     slack = -g / norms
     slack[C] = np.inf
-    S = np.flatnonzero(slack < _SCREEN)
-    return S[np.argsort(slack[S], kind="stable")]
+    return np.flatnonzero(slack < _SCREEN)
 
 
 def _refresh(M: np.ndarray, edges: np.ndarray, penalty: float, C: np.ndarray, v: np.ndarray, S, norms=None):
     """Global refresh at v: one pass over Md[C, :], _PASS_ROWS rows at a time, never held whole.
 
     Returns g = v @ Md[C, :], the block Md[C, C] and norms |Md[C, i]| (None and the given `norms`, if any),
-    S (if None, screened by this g and read after the pass), Md[C, S], and reach and radius:
-    g_i(v') <= g_i(v) + |Md[C, i]| |v' - v| stays <= 0 on S[j:] while |v' - v| <= reach[j], and off C | S
-    while it is <= radius (less a margin for the rounding of both products)."""
+    S (if None, screened by this g and read after the pass), Md[C, S] and the radius: g_i(v') <= g_i(v) +
+    |Md[C, i]| |v' - v| stays <= 0 off C | S while |v' - v| <= radius (less a margin for the rounding of
+    both products).  It is negative if some g_i off C | S, screened by an older g, is not below 0."""
     m = M.shape[0]
     g, cols = np.zeros(m), None if S is None else np.empty((C.size, S.size))
     block = sq = None
@@ -197,18 +196,15 @@ def _refresh(M: np.ndarray, edges: np.ndarray, penalty: float, C: np.ndarray, v:
         cols = np.empty((C.size, S.size))
         for i in range(0, C.size, _PASS_ROWS):
             cols[i : i + _PASS_ROWS] = _penalized(M, edges, penalty, C[i : i + _PASS_ROWS], S)
-    slack, margin = -g / norms, 4.0 * C.size * np.finfo(float).eps
-    slack[C] = np.inf
-    reach = np.minimum.accumulate(slack[S][::-1])[::-1] - margin
-    slack[S] = np.inf
-    return g, block, norms, S, cols, reach, float(slack.min()) - margin
+    slack = -g / norms
+    slack[C] = slack[S] = np.inf
+    return g, block, norms, S, cols, float(slack.min()) - 4.0 * C.size * np.finfo(float).eps
 
 
-def _lapsed(v: np.ndarray, ref: np.ndarray, reach: np.ndarray, radius: float):
-    """None once v has left the radius of the refresh at ref, else how many columns of S left their reach."""
+def _lapsed(v: np.ndarray, ref: np.ndarray, radius: float) -> bool:
+    """Whether v has left the radius of the refresh at ref, past which g off C | S is no longer certified."""
     d = v - ref
-    delta = math.sqrt(d @ d)
-    return None if delta > radius else int(reach.searchsorted(delta))
+    return math.sqrt(d @ d) > radius
 
 
 def _working_set(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, norms):
@@ -219,19 +215,19 @@ def _working_set(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray
     if 2 * C.size <= m:
         return C, *_refresh(M, edges, penalty, C, u[C], _screen(g, norms, C))
     Md = _Penalized(M, edges, penalty)
-    return np.arange(m), u @ Md, Md, None, np.zeros(0, dtype=np.intp), np.zeros((m, 0)), np.zeros(0), math.inf
+    return np.arange(m), u @ Md, Md, None, np.zeros(0, dtype=np.intp), np.zeros((m, 0)), math.inf
 
 
 def _settle(block: np.ndarray, uC: np.ndarray):
     """The limit of steps that keep P = supp(uC): the top eigenvector of Md[P, P], by eigh
-    up to _SETTLE_DIRECT entries, else by `_lanczos` from uC[P].  A unit vector over C,
-    or None unless it is positive on P (and Lanczos passed)."""
+    up to _SETTLE_DIRECT entries, else by `_lanczos` from uC[P] on the start vector's schedule.
+    A unit vector over C, or None unless it is positive on P (and Lanczos passed)."""
     P = np.flatnonzero(uC)
     A = block[np.ix_(P, P)]
     if P.size <= _SETTLE_DIRECT:
         w, passed = np.linalg.eigh(A)[1][:, -1], True
     else:
-        w, passed = _lanczos(A, uC[P], _SETTLE_TOL, _SETTLE_FIRST, min(P.size, _SETTLE_PRODUCTS))
+        w, passed = _lanczos(A, uC[P])
     w = -w if w.sum() < 0.0 else w
     if not passed or w.min() <= 0.0:
         return None
@@ -245,8 +241,8 @@ def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, 
 
     Trials max(u + s*g, 0) lie inside W = supp(u) | {g > 0}: they are scored on
     a block Md[C, C], C a superset of W rebuilt when W leaves C or falls below
-    half of it.  Off C, g is read from Md[C, S] on the screened columns S past
-    their reach, and is certified <= 0 elsewhere until v leaves the radius of
+    half of it.  Off C, every step reads g from Md[C, S] on the screened
+    columns S, and g is certified <= 0 elsewhere until v leaves the radius of
     the last global refresh, which then runs at v.  `g` is the last stage's
     gradient at u, or None; a larger penalty only lowers it, so it bounds W.
     `norms`, the last stage's last column norms (None after all of Md), let
@@ -257,19 +253,22 @@ def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, 
     moved and this stage's last norms.
     """
     m = u.shape[0]
-    C, g, block, norms, S, cols, reach, radius = _working_set(M, edges, penalty, u, g, norms)
+    C, g, block, norms, S, cols, radius = _working_set(M, edges, penalty, u, g, norms)
     uC, gC, gS, ref, f = u[C], g[C], g[S], u[C], None
-    outside = np.count_nonzero(g > 0.0) > np.count_nonzero(gC > 0.0)  # W leaves C
-    moved, held, size = False, 0, np.count_nonzero(uC)  # held: accepted steps in a row that kept |supp(u)|
+    moved = settled = False
+    held, size = 0, np.count_nonzero(uC)  # held: accepted steps in a row that kept |supp(u)|
     for _ in range(_MAX_ITERATIONS):
+        outside = radius < 0.0 or (gS > 0.0).any()  # W leaves C: g > 0 on S, or maybe off C | S (radius < 0)
+        if settled and not outside and not (gC[uC == 0.0] > 0.0).any():  # a KKT point: g <= 0 off P
+            break
         if outside or 2 * np.count_nonzero(np.maximum(uC, gC) > 0.0) < C.size:  # |W| < |C| / 2
             if moved:  # before the first step u is the caller's array
                 u = np.zeros(m)
                 u[C] = uC
             g[C], g[S] = gC, gS
             block = cols = None  # release the old cache before building the next
-            C, g, block, norms, S, cols, reach, radius = _working_set(M, edges, penalty, u, g, norms)
-            uC, gC, gS, ref, outside = u[C], g[C], g[S], u[C], False
+            C, g, block, norms, S, cols, radius = _working_set(M, edges, penalty, u, g, norms)
+            uC, gC, gS, ref = u[C], g[C], g[S], u[C]
         if f is None:  # scored like the trials, so a trial equal to u never wins
             f = float(uC @ (gC if norms is None else uC @ block))  # all of Md: gC is that product
             alpha = 1.0 / max(1.0, abs(f))
@@ -293,26 +292,20 @@ def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, 
             else:
                 break
             alpha = step * 2.0
-        moved, n = True, np.count_nonzero(v)
-        d, k = v - uC, _lapsed(v, ref, reach, radius)
-        uC, gC, held, size = v, gv, held + 1 if n == size else 0, n
-        if k is None:
+        moved, n, d = True, np.count_nonzero(v), v - uC
+        if _lapsed(v, ref, radius):
             g[S], cols = gS, None
-            g, _, _, S, cols, reach, radius = _refresh(M, edges, penalty, C, v, _screen(g, norms, C), norms)
+            g, _, _, S, cols, radius = _refresh(M, edges, penalty, C, v, _screen(g, norms, C), norms)
             ref, gS = v, g[S]
-            outside = np.count_nonzero(g > 0.0) > np.count_nonzero(g[C] > 0.0)
-        elif k:  # S[k:] is still certified
-            gS[:k] = v @ cols[:, :k]
-            outside = (gS[:k] > 0.0).any()
-        f = fv
-        if settled and not outside and not (gC[uC == 0.0] > 0.0).any():  # a KKT point: g <= 0 off P
-            break
+        else:
+            gS = v @ cols
+        uC, gC, f, held, size = v, gv, fv, held + 1 if n == size else 0, n
         if math.sqrt(d @ d) < _TOL:
             break
     if moved:
         u = np.zeros(m)
         u[C] = uC
-    g[C], g[S] = gC, uC @ cols
+    g[C], g[S] = gC, gS
     return u, g, moved, norms
 
 

@@ -152,6 +152,8 @@ class ConsistencyParams:
     def __post_init__(self):
         if not (self.epsilon > 0 and self.sigma > 0 and self.rho > 0):  # NaN fails too
             raise ValueError("epsilon, sigma and rho must all be positive")
+        if self.sigma * self.sigma == 0.0:  # the kernels divide by sigma^2, which underflows to 0 below ~2e-162
+            raise ValueError(f"sigma must square to a positive float, got {self.sigma!r}")
 
 
 def _candidate_pairs(scan_i: Scan, scan_j: Scan) -> tuple[np.ndarray, np.ndarray]:

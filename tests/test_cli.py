@@ -331,6 +331,14 @@ class TestMatchCommand:
         assert flag[2:] in capsys.readouterr().err
         assert not out.exists()
 
+    def test_underflowing_sigma_exit_one(self, loop_fixture, tmp_path, capsys):
+        _, a, b = loop_fixture
+        out = tmp_path / "m.json"
+        assert main(["match", str(a), str(b), "--sigma", "1e-170", "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "sigma" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_file_exit_one(self, tmp_path, capsys):
         good = tmp_path / "g.json"
         save_scan(good, generate_scene(SceneConfig(n_lines=2, n_planes=2, seed=1)))
@@ -491,11 +499,15 @@ class TestBenchCommand:
             ("n_lines", "-2", "object counts must be nonnegative"),
             ("noise_disp_m", "-0.1", "noise levels must be nonnegative and finite"),
             ("rho", "-1", "epsilon, sigma and rho must all be positive"),
+            ("sigma", "1e-170", "sigma must square to a positive float, got 1e-170"),
             ("noise_dir_deg", "nan", "noise levels must be nonnegative and finite"),
             ("tiers", "", "tiers must name at least one value"),
             ("distance_fns", "", "distance_fns must name at least one value"),
         ],
-        ids=["clutter", "overlap_hard", "n_lines", "noise_disp_m", "rho", "noise_dir_deg", "no_tiers", "no_distance_fns"],
+        ids=[
+            "clutter", "overlap_hard", "n_lines", "noise_disp_m", "rho", "sigma", "noise_dir_deg",
+            "no_tiers", "no_distance_fns",
+        ],
     )
     def test_bad_config_value_fails_before_any_trial(self, tmp_path, capsys, key, value, message):
         cfg = tmp_path / "c.txt"

@@ -551,18 +551,18 @@ def scene_pair_affinities():
 
 
 def recording_held(monkeypatch):
-    """Patch the solver so that held[0] is (C, S, penalty) of its current cache."""
+    """Patch the solver so that held[0] is (C, S, penalty, Md[C, S]) of its current cache."""
     held = [None]
     refresh, working_set = clique_solver._refresh, clique_solver._working_set
 
     def recording_refresh(M, edges, penalty, C, v, S, norms=None):
         out = refresh(M, edges, penalty, C, v, S, norms)
-        held[0] = (C, out[3], penalty)
+        held[0] = (C, out[3], penalty, out[4])
         return out
 
     def recording_working_set(M, edges, penalty, u, g, norms):
         out = working_set(M, edges, penalty, u, g, norms)
-        held[0] = (out[0], out[4], penalty)
+        held[0] = (out[0], out[4], penalty, out[5])
         return out
 
     monkeypatch.setattr(clique_solver, "_refresh", recording_refresh)
@@ -604,7 +604,7 @@ class TestCertifiedRefresh:
         for name, M in instances:
             stages.clear()
             solve_densest(M)
-            for M, edges, C, S, penalty, u, g in stages:
+            for M, edges, C, S, penalty, _, u, g in stages:
                 if C.size == M.shape[0]:  # all of Md: the solver's product, pinned by TestPenalizedProducts
                     assert S.size == 0 and np.array_equal(g, u @ clique_solver._Penalized(M, edges, penalty)), name
                     full += 1
@@ -639,7 +639,7 @@ class TestCertifiedRefresh:
             solve_densest(M)
             edges = binarize_constraints(M)
             assert stages[0][0] is None, name
-            for (_, returned, C, _, penalty), (given, *_) in zip(stages, stages[1:]):
+            for (_, returned, C, _, penalty, _), (given, *_) in zip(stages, stages[1:]):
                 assert given is returned, name
                 if C.size == M.shape[0]:
                     assert given is None, name
@@ -652,28 +652,62 @@ class TestCertifiedRefresh:
 
     def test_skipped_refreshes_are_sound(self, instances, monkeypatch):
         # At every step where the certificate holds, a formed product finds
-        # g <= 0 on every column the step does not read: all but C and the
-        # first k columns of S (those past their reach).
+        # g <= 0 on every column off C | S, and on S the step's product with
+        # the held columns Md[C, S] equal to it up to the rounding the
+        # certificate allows for (4 |C| eps |Md[C, i]|, |v| = 1).
         decisions = []
         held = recording_held(monkeypatch)
         lapsed = clique_solver._lapsed
 
-        def checking(v, ref, reach, radius):
-            k = lapsed(v, ref, reach, radius)
-            C, S, penalty = held[0]
+        def checking(v, ref, radius):
+            out = lapsed(v, ref, radius)
+            C, S, penalty, cols = held[0]
             if C.size < M.shape[0]:  # a partial cache: all of Md needs no certificate
-                decisions.append(k is not None)
-                if k is not None:
-                    off = np.ones(M.shape[0], dtype=bool)
-                    off[C] = off[S[:k]] = False
-                    assert (v @ np.where(edges[C], M[C], -penalty))[off].max() <= 0.0
-            return k
+                decisions.append(not out)
+                if not out:
+                    rows = np.where(edges[C], M[C], -penalty)
+                    formed, off = v @ rows, np.ones(M.shape[0], dtype=bool)
+                    off[C] = off[S] = False
+                    assert formed[off].max(initial=-np.inf) <= 0.0
+                    bound = 4.0 * C.size * np.finfo(float).eps * np.sqrt(np.einsum("ij,ij->j", rows[:, S], rows[:, S]))
+                    assert np.all(np.abs(v @ cols - formed[S]) <= bound)
+            return out
 
         monkeypatch.setattr(clique_solver, "_lapsed", checking)
         for _, M in instances:
             edges = binarize_constraints(M)
             solve_densest(M)
         assert sum(decisions) >= 0.8 * len(decisions) > 1000
+
+    def test_column_hidden_by_a_stale_screen_rebuilds_before_a_step(self, monkeypatch):
+        # A build screens S by the gradient it is handed; a column that gradient
+        # put far below 0 is neither in C nor in S, yet the pass finds it > 0.
+        # The radius goes negative, and C is rebuilt around it before any step.
+        M = np.eye(10)
+        M[:5, :5] = 0.9
+        np.fill_diagonal(M, 1.0)
+        edges = binarize_constraints(M)
+        u = np.zeros(10)
+        u[:4] = 0.5
+        g = u @ np.where(edges, M, -_INITIAL_PENALTY)
+        assert g[4] > 0.0
+        g[4] = -5.0
+        built, at_steps = [], []
+        working_set, lapsed = clique_solver._working_set, clique_solver._lapsed
+
+        def recording(*args):
+            out = working_set(*args)
+            built.append(out[0].tolist())
+            return out
+
+        def counting(v, ref, radius):
+            at_steps.append(len(built))
+            return lapsed(v, ref, radius)
+
+        monkeypatch.setattr(clique_solver, "_working_set", recording)
+        monkeypatch.setattr(clique_solver, "_lapsed", counting)
+        clique_solver._ascend(M, edges, _INITIAL_PENALTY, u, g, np.ones(10))
+        assert at_steps[0] == 2 and built[:2] == [[0, 1, 2, 3], [0, 1, 2, 3, 4]]
 
 
 def affinity_near_1000():
@@ -744,7 +778,7 @@ class TestPenalizedProducts:
             for penalty in (_INITIAL_PENALTY, 7.3, m + 1.0):
                 ref = np.where(edges[C], M[C], -penalty)
                 norms = np.sqrt(np.einsum("ij,ij->j", ref, ref))
-                g, block, got_norms, S, cols, _, _ = clique_solver._refresh(M, edges, penalty, C, v, None)
+                g, block, got_norms, S, cols, _ = clique_solver._refresh(M, edges, penalty, C, v, None)
                 assert block.tobytes() == ref[:, C].tobytes()
                 assert cols.tobytes() == ref[:, S].tobytes()
                 assert np.all(np.abs(got_norms - norms) <= 1e-12 * norms)
@@ -779,17 +813,18 @@ class TestPenalizedProducts:
 # last stage's norms to screen the first build, so both take the same products.
 # It settles as the solver does: when a third accepted step in a row keeps the
 # support's size, with a block held, it tries the solver's `_settle`, and a
-# settled step ends the stage where no g > 0 lies off supp(u).
+# settled step ends the stage where no g > 0 lies off supp(u).  Inside the
+# radius of the last refresh, each step reads all of the held columns Md[C, S].
 def full_length_ascend(M, edges, penalty, u, g, norms):
     m = u.shape[0]
-    C, g, block, norms, S, cols, reach, radius = clique_solver._working_set(M, edges, penalty, u, g, norms)
+    C, g, block, norms, S, cols, radius = clique_solver._working_set(M, edges, penalty, u, g, norms)
     ref, f = u[C], None
     moved, held, size = False, 0, int(np.count_nonzero(u))
     for _ in range(_MAX_ITERATIONS):
         W = np.flatnonzero((u > 0.0) | (g > 0.0))
         if 2 * W.size < C.size or not (np.take(C, np.searchsorted(C, W), mode="clip") == W).all():
             block = cols = None
-            C, g, block, norms, S, cols, reach, radius = clique_solver._working_set(M, edges, penalty, u, g, norms)
+            C, g, block, norms, S, cols, radius = clique_solver._working_set(M, edges, penalty, u, g, norms)
             ref = u[C]
         uC, gC = u[C], g[C]
         if f is None:
@@ -822,22 +857,19 @@ def full_length_ascend(M, edges, penalty, u, g, norms):
         held, size = (held + 1 if n == size else 0), n
         u = np.zeros(m)
         u[C] = v
-        delta = float(np.linalg.norm(v - ref))
-        if delta > radius:
-            g, _, _, S, cols, reach, radius = clique_solver._refresh(
+        if float(np.linalg.norm(v - ref)) > radius:
+            g, _, _, S, cols, radius = clique_solver._refresh(
                 M, edges, penalty, C, v, clique_solver._screen(g, norms, C), norms
             )
             ref = v
         else:
-            k = int(np.searchsorted(reach, delta))
-            g[S[:k]] = v @ cols[:, :k]
+            g[S] = v @ cols
         g[C] = gv
         f = fv
         if settled and not (g[u == 0.0] > 0.0).any():
             break
         if float(np.linalg.norm(v - uC)) < _TOL:
             break
-    g[S] = u[C] @ cols
     return u, g, moved, norms
 
 
@@ -943,19 +975,27 @@ class TestStageSettle:
 def counted_work(monkeypatch):
     """Patch the solver to count its work into the returned dict: global
     refreshes, blocks Md[C, C] built, `_penalized` row builds, products with
-    all of Md, held-column entries read (|C| per column, filled at a refresh
-    or read at a step once past its reach), accepted ascent steps (settled
+    all of Md, held-column entries read (|C| |S|, filled at a refresh and
+    read at each step inside its radius), accepted ascent steps (settled
     ones included) and settle attempts."""
     keys = ("refreshes", "blocks", "row_builds", "wide_products", "held_entries", "ascent_steps", "settles")
     work = dict.fromkeys(keys, 0)
     refresh, penalized, lapsed = clique_solver._refresh, clique_solver._penalized, clique_solver._lapsed
     product, settle = clique_solver._Penalized.__rmatmul__, clique_solver._settle
+    working_set = clique_solver._working_set
+    held = [0]  # entries of the held columns Md[C, S]
 
     def counting_refresh(M, edges, penalty, C, v, S, norms=None):
         out = refresh(M, edges, penalty, C, v, S, norms)
         work["refreshes"] += 1
         work["blocks"] += out[1] is not None
-        work["held_entries"] += C.size * out[3].size
+        held[0] = out[4].size
+        work["held_entries"] += held[0]
+        return out
+
+    def counting_working_set(M, edges, penalty, u, g, norms):
+        out = working_set(M, edges, penalty, u, g, norms)
+        held[0] = out[5].size  # none after all of Md
         return out
 
     def counting_penalized(*args, **kwargs):
@@ -966,17 +1006,18 @@ def counted_work(monkeypatch):
         work["wide_products"] += 1
         return product(self, v)
 
-    def counting_lapsed(v, ref, reach, radius):  # called once per accepted step
-        k = lapsed(v, ref, reach, radius)
-        work["held_entries"] += v.size * (k or 0)
+    def counting_lapsed(v, ref, radius):  # called once per accepted step
+        out = lapsed(v, ref, radius)
+        work["held_entries"] += 0 if out else held[0]
         work["ascent_steps"] += 1
-        return k
+        return out
 
     def counting_settle(block, uC):
         work["settles"] += 1
         return settle(block, uC)
 
     monkeypatch.setattr(clique_solver, "_refresh", counting_refresh)
+    monkeypatch.setattr(clique_solver, "_working_set", counting_working_set)
     monkeypatch.setattr(clique_solver, "_penalized", counting_penalized)
     monkeypatch.setattr(clique_solver._Penalized, "__rmatmul__", counting_product)
     monkeypatch.setattr(clique_solver, "_lapsed", counting_lapsed)
@@ -987,22 +1028,23 @@ def counted_work(monkeypatch):
 class TestSolverWork:
     # Work per solve on the two scene pairs, counted with numpy 2.4.6 and
     # OpenBLAS 0.3.31 on x86-64.  Each part of the screened cache keeps a
-    # count down: a held column's own reach the held entries read; screening
-    # before the pass, by the last norms, the row builds; the norms carried
-    # across stages and the read after the pass at the first build after all
-    # of Md the refreshes; a refresh keeping its stage's block the blocks
-    # built; the stage settle the ascent steps (201 and 304 without it).
-    # Removing any of them fails here.  The settle ends a stage on the exact
+    # count down: screening before the pass, by the last norms, the row
+    # builds; the norms carried across stages and the read after the pass at
+    # the first build after all of Md the refreshes; a refresh keeping its
+    # stage's block the blocks built; the stage settle the ascent steps (201
+    # and 304 without it).  Removing any of them fails here.  Each step inside
+    # the radius reads all of Md[C, S] in one product, so the held entries
+    # bound the screened set's size.  The settle ends a stage on the exact
     # eigenvector, from which a later stage's first trial can win on rounding
     # alone (moving u by 1e-16 to 4e-12): that adds one or two trailing
     # stages, each one refresh, block and row build or two (without the
     # settle: 18, 17 and 74 on scene-m548, 15, 15 and 55 on scene-m896).
     RECORDED = {
         "scene-m548": dict(
-            refreshes=20, blocks=19, row_builds=78, wide_products=2, held_entries=299213, ascent_steps=83, settles=13
+            refreshes=20, blocks=19, row_builds=78, wide_products=2, held_entries=797984, ascent_steps=83, settles=13
         ),
         "scene-m896": dict(
-            refreshes=16, blocks=16, row_builds=57, wide_products=4, held_entries=341840, ascent_steps=80, settles=13
+            refreshes=16, blocks=16, row_builds=57, wide_products=4, held_entries=1356345, ascent_steps=80, settles=13
         ),
     }
 
@@ -1053,25 +1095,27 @@ def criterion_4_planted():
         yield f"criterion-4-planted-{seed}", A
 
 
-def reference_lanczos_stop(M):
-    """Products and Ritz vector at which Lanczos from the uniform vector q0 is
-    to stop: the first step from _RITZ_FIRST on whose top Ritz pair (theta, x)
-    of M on the Krylov basis Q has |Mx - theta x| <= _RITZ_TOL * theta, a step
-    whose new direction vanishes (norm <= _RITZ_TOL * q0'M q0), or
-    min(m, _POWER_ITERATIONS) steps.  Q is orthonormalized twice by
-    Gram-Schmidt, and the Ritz pairs come from all of Q'MQ, not a tridiagonal."""
-    m, cap = M.shape[0], min(M.shape[0], _POWER_ITERATIONS)
-    Q = np.full((1, m), 1.0 / np.sqrt(m))
-    first = float(Q[0] @ M @ Q[0])
+def reference_lanczos_stop(A, q=None):
+    """Products and Ritz vector at which Lanczos from the unit vector q0 = q
+    (the uniform vector if None) is to stop: the first step from _RITZ_FIRST
+    on whose top Ritz pair (theta, x) of A on the Krylov basis Q has
+    |Ax - theta x| <= _RITZ_TOL * theta, a step whose new direction vanishes
+    (norm <= _RITZ_TOL * q0'A q0), or min(n, _POWER_ITERATIONS) steps.  Q is
+    orthonormalized twice by Gram-Schmidt, and the Ritz pairs come from all
+    of Q'AQ, not a tridiagonal.  x is returned nonnegative and unit, as the
+    start vector takes it."""
+    n, cap = A.shape[0], min(A.shape[0], _POWER_ITERATIONS)
+    Q = np.full((1, n), 1.0 / np.sqrt(n)) if q is None else q[None, :].copy()
+    first = float(Q[0] @ A @ Q[0])
     for steps in range(1, cap + 1):
-        theta, S = np.linalg.eigh(Q @ M @ Q.T)
+        theta, S = np.linalg.eigh(Q @ A @ Q.T)
         x = S[:, -1] @ Q
-        w = M @ Q[-1]
+        w = A @ Q[-1]
         for _ in range(2):
             w = w - (Q @ w) @ Q
         if steps == cap or np.linalg.norm(w) <= _RITZ_TOL * first:
             break
-        if steps >= _RITZ_FIRST and np.linalg.norm(M @ x - theta[-1] * x) <= _RITZ_TOL * theta[-1]:
+        if steps >= _RITZ_FIRST and np.linalg.norm(A @ x - theta[-1] * x) <= _RITZ_TOL * theta[-1]:
             break
         Q = np.vstack([Q, w / np.linalg.norm(w)])
     x = np.maximum(x if x.sum() >= 0.0 else -x, 0.0)
@@ -1159,6 +1203,32 @@ class TestPerronStartVector:
         assert counter.calls < _POWER_ITERATIONS
         assert np.max(np.abs(u - fixed_power_init(M))) <= 1e-7
         assert solve_densest(M).indices == (3, 4, 5, 6, 7)
+
+
+class TestSettleLanczos:
+    def test_stops_at_the_reference_step(self, monkeypatch):
+        # A settle above _SETTLE_DIRECT entries runs the start vector's
+        # Lanczos schedule on Md[P, P] from u_P: it stops at the step the
+        # reference names, on the same eigenvector, and passes there.
+        blocks, settle = [], clique_solver._settle
+
+        def recording(block, uC):
+            P = np.flatnonzero(uC)
+            if P.size > clique_solver._SETTLE_DIRECT:
+                blocks.append((block[np.ix_(P, P)], uC[P]))
+            return settle(block, uC)
+
+        monkeypatch.setattr(clique_solver, "_settle", recording)
+        for _, M in scene_pair_affinities():
+            solve_densest(M)
+        assert len(blocks) >= 20
+        for A, q in blocks:
+            steps, x = reference_lanczos_stop(A, q)
+            counted, counter = counted_matvecs(A)
+            w, passed = clique_solver._lanczos(counted, q)
+            assert counter.calls == steps and passed
+            w = np.maximum(w if w.sum() >= 0.0 else -w, 0.0)
+            assert np.max(np.abs(w / np.linalg.norm(w) - x)) <= 1e-10
 
 
 def ladder_affinities():

@@ -226,6 +226,10 @@ class TestWeight:
             ConsistencyParams(sigma=-1.0)
         with pytest.raises(ValueError):
             ConsistencyParams(rho=0.0)
+        # positive, but sigma * sigma underflows to 0 and the kernels would divide by it
+        with pytest.raises(ValueError, match="^sigma must square to a positive float, got 1e-170$"):
+            ConsistencyParams(sigma=1e-170)
+        assert ConsistencyParams(sigma=1e-160).sigma == 1e-160  # sigma * sigma subnormal, still above 0
 
     @pytest.mark.parametrize("name", ["epsilon", "sigma", "rho"])
     def test_nan_params_rejected(self, name):
