@@ -10,9 +10,10 @@ and ranks tied candidates by u, never by label.  Each ascent step works on
 a working set C of supp(u) | {gradient > 0}, holding the penalized matrix on
 C's block and only on the columns off C that a Lipschitz certificate, set by
 one blockwise pass over C's rows, cannot yet put at gradient <= 0; while C
-spans over half of the candidates, products come from M and the boolean
-graph, so no second m x m float array exists.  The penalty loop stops as soon
-as a larger penalty can no longer change u.  An exhaustive oracle is provided.
+spans over a third of the candidates, products come from M and the boolean
+graph: no second m x m float array, nor a block over (m/3)^2, exists.  The
+penalty loop stops as soon as a larger penalty can no longer change u.  An
+exhaustive oracle is provided.
 """
 
 from __future__ import annotations
@@ -209,25 +210,38 @@ def _lapsed(v: np.ndarray, ref: np.ndarray, radius: float) -> bool:
 
 def _working_set(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, norms):
     """C = supp(u) | {g > 0} (all for g None), refreshed at u with S screened by g
-    and the last `norms`; all of Md as `_Penalized`, and no S, once |C| > m/2."""
+    and the last `norms`; all of Md as `_Penalized`, and no S, once |C| > m/3."""
     m = M.shape[0]
     C = np.flatnonzero((u > 0.0) | (g is None or g > 0.0))
-    if 2 * C.size <= m:
+    if 3 * C.size <= m:
         return C, *_refresh(M, edges, penalty, C, u[C], _screen(g, norms, C))
     Md = _Penalized(M, edges, penalty)
     return np.arange(m), u @ Md, Md, None, np.zeros(0, dtype=np.intp), np.zeros((m, 0)), math.inf
 
 
-def _settle(block: np.ndarray, uC: np.ndarray):
-    """The limit of steps that keep P = supp(uC): the top eigenvector of Md[P, P], by eigh
-    up to _SETTLE_DIRECT entries, else by `_lanczos` from uC[P] on the start vector's schedule.
-    A unit vector over C, or None unless it is positive on P (and Lanczos passed)."""
+class _Restricted:
+    """Md[P, P] @ x for a `_Penalized` Md, never gathered: x on P times all of Md (symmetric), read on P."""
+
+    def __init__(self, Md: _Penalized, P: np.ndarray):
+        self.Md, self.P, self.v = Md, P, np.zeros(Md.M.shape[0])
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        self.v[self.P] = x
+        return (self.v @ self.Md)[self.P]
+
+
+def _settle(block, uC: np.ndarray):
+    """The limit of steps that keep P = supp(uC): the top eigenvector of Md[P, P].  From a block,
+    by eigh up to _SETTLE_DIRECT entries, else by `_lanczos` from uC[P] on the start vector's
+    schedule; from all of Md, by that `_lanczos` through products restricted to P, so Md[P, P] is
+    never gathered.  A unit vector over C, or None unless it is positive on P (and Lanczos passed)."""
     P = np.flatnonzero(uC)
-    A = block[np.ix_(P, P)]
-    if P.size <= _SETTLE_DIRECT:
-        w, passed = np.linalg.eigh(A)[1][:, -1], True
+    if isinstance(block, _Penalized):
+        w, passed = _lanczos(_Restricted(block, P), uC[P])
+    elif P.size <= _SETTLE_DIRECT:
+        w, passed = np.linalg.eigh(block[np.ix_(P, P)])[1][:, -1], True
     else:
-        w, passed = _lanczos(A, uC[P])
+        w, passed = _lanczos(block[np.ix_(P, P)], uC[P])
     w = -w if w.sum() < 0.0 else w
     if not passed or w.min() <= 0.0:
         return None
@@ -241,14 +255,17 @@ def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, 
 
     Trials max(u + s*g, 0) lie inside W = supp(u) | {g > 0}: they are scored on
     a block Md[C, C], C a superset of W rebuilt when W leaves C or falls below
-    half of it.  Off C, every step reads g from Md[C, S] on the screened
-    columns S, and g is certified <= 0 elsewhere until v leaves the radius of
-    the last global refresh, which then runs at v.  `g` is the last stage's
-    gradient at u, or None; a larger penalty only lowers it, so it bounds W.
-    `norms`, the last stage's last column norms (None after all of Md), let
-    the first build screen before its pass.  Once three steps in a row keep
-    |supp(u)|, a held block settles: `_settle`'s eigenvector, unless it lowers
-    u'(Md)u, is the step, and ends the stage if g <= 0 off its support.
+    half of it, or on all of Md until |W| <= m/3.  Off C, every step reads g
+    from Md[C, S] on the screened columns S, and g is certified <= 0 elsewhere
+    until v leaves the radius of the last global refresh, which then runs at v.
+    `g` is the last stage's gradient at u, or None; a larger penalty only
+    lowers it, so it bounds W.  `norms`, the last stage's last column norms
+    (None after all of Md), let the first build screen before its pass.  Once
+    three steps in a row keep |supp(u)|, u settles: `_settle`'s eigenvector,
+    unless it lowers u'(Md)u, is the step, and ends the stage if g <= 0 off
+    its support.  Line searches start from twice the last accepted step, but
+    on all of Md from that step until the settle is tried, so supp(u) shrinks
+    steadily instead of swinging across m/3.
     Returns u, g (exact on C | S, else its value at the last refresh, <= 0),
     moved and this stage's last norms.
     """
@@ -261,7 +278,8 @@ def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, 
         outside = radius < 0.0 or (gS > 0.0).any()  # W leaves C: g > 0 on S, or maybe off C | S (radius < 0)
         if settled and not outside and not (gC[uC == 0.0] > 0.0).any():  # a KKT point: g <= 0 off P
             break
-        if outside or 2 * np.count_nonzero(np.maximum(uC, gC) > 0.0) < C.size:  # |W| < |C| / 2
+        W = np.count_nonzero(np.maximum(uC, gC) > 0.0)
+        if outside or (3 * W <= m if norms is None else 2 * W < C.size):  # W fits a block, or under half of C
             if moved:  # before the first step u is the caller's array
                 u = np.zeros(m)
                 u[C] = uC
@@ -272,7 +290,7 @@ def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, 
         if f is None:  # scored like the trials, so a trial equal to u never wins
             f = float(uC @ (gC if norms is None else uC @ block))  # all of Md: gC is that product
             alpha = 1.0 / max(1.0, abs(f))
-        v = _settle(block, uC) if held == _SETTLE_HELD and norms is not None else None  # once per support
+        v = _settle(block, uC) if held == _SETTLE_HELD else None  # once per support
         if v is not None:
             gv = v @ block
             fv = float(v @ gv)
@@ -291,7 +309,7 @@ def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, 
                 step *= 0.5
             else:
                 break
-            alpha = step * 2.0
+            alpha = step * 2.0 if norms is not None or held > _SETTLE_HELD else step
         moved, n, d = True, np.count_nonzero(v), v - uC
         if _lapsed(v, ref, radius):
             g[S], cols = gS, None

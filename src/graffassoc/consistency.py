@@ -303,7 +303,8 @@ def _blockwise_affinity(terms, a_idx: np.ndarray, b_idx: np.ndarray, epsilon: fl
             np.abs(C, out=C)
             keep = C < epsilon if t == 0 else keep & (C < epsilon)
             np.multiply(C, C, out=C)
-            np.divide(C, -denom, out=C)  # exactly -(C * C) / denom: negation commutes with rounding
+            with np.errstate(over="ignore"):  # sigma < ~1e-155: -inf, and exp(-inf) = 0 is the kernel's limit
+                np.divide(C, -denom, out=C)  # exactly -(C * C) / denom: negation commutes with rounding
             np.maximum(C, (epsilon * epsilon) / -denom, out=C)
             if t == 0:
                 np.exp(C, out=block)

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -338,6 +339,21 @@ class TestMatchCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "sigma" in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_overflowing_kernel_exponent_is_its_limit(self, loop_fixture, tmp_path):
+        # sigma = 1e-160 squares to a positive float, but -(C * C) / (2 sigma^2)
+        # overflows to -inf for any score C above about 1e-154: the weight is
+        # then exp(-inf) = 0, the kernel's limit, taken without a warning.  On
+        # this noisy pair every score is nonzero, so M is the identity and one
+        # candidate is selected: the match is written and fails verification.
+        _, a, b = loop_fixture
+        out = tmp_path / "m.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["match", str(a), str(b), "--sigma", "1e-160", "--output", str(out)]) == 2
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert doc["params"]["sigma"] == 1e-160 and doc["status"] == "failed"
+        assert doc["objective"] == 1.0 and len(doc["correspondences"]) == 1
 
     def test_missing_file_exit_one(self, tmp_path, capsys):
         good = tmp_path / "g.json"

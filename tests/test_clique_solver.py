@@ -683,11 +683,11 @@ class TestCertifiedRefresh:
         # A build screens S by the gradient it is handed; a column that gradient
         # put far below 0 is neither in C nor in S, yet the pass finds it > 0.
         # The radius goes negative, and C is rebuilt around it before any step.
-        M = np.eye(10)
+        M = np.eye(15)  # m = 15: both builds, |C| = 4 and 5, get a block
         M[:5, :5] = 0.9
         np.fill_diagonal(M, 1.0)
         edges = binarize_constraints(M)
-        u = np.zeros(10)
+        u = np.zeros(15)
         u[:4] = 0.5
         g = u @ np.where(edges, M, -_INITIAL_PENALTY)
         assert g[4] > 0.0
@@ -706,7 +706,7 @@ class TestCertifiedRefresh:
 
         monkeypatch.setattr(clique_solver, "_working_set", recording)
         monkeypatch.setattr(clique_solver, "_lapsed", counting)
-        clique_solver._ascend(M, edges, _INITIAL_PENALTY, u, g, np.ones(10))
+        clique_solver._ascend(M, edges, _INITIAL_PENALTY, u, g, np.ones(15))
         assert at_steps[0] == 2 and built[:2] == [[0, 1, 2, 3], [0, 1, 2, 3, 4]]
 
 
@@ -790,10 +790,11 @@ class TestPenalizedProducts:
                 assert out[0].tobytes() == g.tobytes()
         assert screened > 0
 
-    def test_peak_at_most_0_59_m_by_m_float_arrays(self, instances):
-        # Above its input, a solve holds at most 0.59 of one m x m float
-        # array's worth of bytes at m = 1002 (0.536 measured, plus 10%);
-        # forming Md took 1.14 of them, and holding whole rows Md[C, :] 0.78.
+    def test_peak_at_most_0_51_m_by_m_float_arrays(self, instances):
+        # Above its input, a solve holds at most 0.51 of one m x m float
+        # array's worth of bytes at m = 1002 (0.464 measured, plus 10%; 0.538
+        # with blocks from m/2); forming Md took 1.14 of them, and holding
+        # whole rows Md[C, :] 0.78.
         M = instances[-1][1]
         m = M.shape[0]
         tracemalloc.start()
@@ -804,7 +805,7 @@ class TestPenalizedProducts:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 0.59 * 8 * m * m
+        assert peak <= 0.51 * 8 * m * m
 
 
 # The ascent before it kept u and g on the working set: full-length u and g
@@ -812,9 +813,12 @@ class TestPenalizedProducts:
 # norms through np.linalg.norm.  It takes the solver's own cache, and the
 # last stage's norms to screen the first build, so both take the same products.
 # It settles as the solver does: when a third accepted step in a row keeps the
-# support's size, with a block held, it tries the solver's `_settle`, and a
-# settled step ends the stage where no g > 0 lies off supp(u).  Inside the
-# radius of the last refresh, each step reads all of the held columns Md[C, S].
+# support's size, with a block held or all of Md, it tries the solver's
+# `_settle`, and a settled step ends the stage where no g > 0 lies off supp(u).
+# Inside the radius of the last refresh, each step reads all of the held
+# columns Md[C, S].  On all of Md, it builds a block once |W| <= m/3, and
+# starts each line search from the last accepted step until the settle at
+# the support's size has been tried, from twice it after that.
 def full_length_ascend(M, edges, penalty, u, g, norms):
     m = u.shape[0]
     C, g, block, norms, S, cols, radius = clique_solver._working_set(M, edges, penalty, u, g, norms)
@@ -822,7 +826,8 @@ def full_length_ascend(M, edges, penalty, u, g, norms):
     moved, held, size = False, 0, int(np.count_nonzero(u))
     for _ in range(_MAX_ITERATIONS):
         W = np.flatnonzero((u > 0.0) | (g > 0.0))
-        if 2 * W.size < C.size or not (np.take(C, np.searchsorted(C, W), mode="clip") == W).all():
+        narrow = 3 * W.size <= m if norms is None else 2 * W.size < C.size
+        if narrow or not (np.take(C, np.searchsorted(C, W), mode="clip") == W).all():
             block = cols = None
             C, g, block, norms, S, cols, radius = clique_solver._working_set(M, edges, penalty, u, g, norms)
             ref = u[C]
@@ -831,7 +836,7 @@ def full_length_ascend(M, edges, penalty, u, g, norms):
             f = float(uC @ (gC if norms is None else uC @ block))
             alpha = 1.0 / max(1.0, abs(f))
         settled = False
-        if held == 3 and norms is not None:
+        if held == 3:
             v = clique_solver._settle(block, uC)
             if v is not None:
                 gv = v @ block
@@ -851,7 +856,7 @@ def full_length_ascend(M, edges, penalty, u, g, norms):
                 step *= 0.5
             else:
                 break
-            alpha = step * 2.0
+            alpha = step if norms is None and held <= 3 else step * 2.0
         moved = True
         n = int(np.count_nonzero(v))
         held, size = (held + 1 if n == size else 0), n
@@ -896,8 +901,9 @@ class TestWorkingSetArrays:
 
 def recording_settles(monkeypatch):
     """Patch `_ascend` and `_settle`: each stage is appended as (penalty, u
-    returned, the settled vectors it took, over C, and attempts refused for
-    a top eigenvector with an entry <= 0)."""
+    returned, the settled vectors it took, over C, each with whether it was
+    taken on all of Md, and attempts refused for a top eigenvector with an
+    entry <= 0)."""
     stages, ascend, settle = [], clique_solver._ascend, clique_solver._settle
 
     def recording_ascend(M, edges, penalty, u, g, norms):
@@ -908,11 +914,13 @@ def recording_settles(monkeypatch):
 
     def recording_settle(block, uC):
         v = settle(block, uC)
+        wide = isinstance(block, clique_solver._Penalized)
         if v is not None:
-            stages[-1][2].append(v)
+            stages[-1][2].append((v, wide))
         else:
             P = np.flatnonzero(uC)
-            w = np.linalg.eigh(block[np.ix_(P, P)])[1][:, -1]
+            A = np.where(block.edges, block.M, -block.penalty) if wide else block
+            w = np.linalg.eigh(A[np.ix_(P, P)])[1][:, -1]
             stages[-1][3] += (w if w.sum() >= 0.0 else -w).min() <= 0.0
         return v
 
@@ -941,24 +949,32 @@ class TestStageSettle:
     def test_settled_stages_end_at_kkt_points(self, monkeypatch):
         # A stage that ends on its settle returns the top eigenvector of
         # Md[P, P]: positive on P = supp(u), Md[P, P] u_P = theta u_P up to
-        # Lanczos's tolerance, and the gradient u @ Md <= 0 off P.
+        # Lanczos's tolerance, and the gradient u @ Md <= 0 off P.  Every
+        # settle taken on all of Md, by Lanczos through products restricted
+        # to P, is such an eigenvector of the formed Md[P, P], and some
+        # stages end on one.
         stages = recording_settles(monkeypatch)
-        ended = 0
+        ended = wide = 0
         for name, M in [*parity_instances(), *scene_pair_affinities()]:
             stages.clear()
             solve_densest(M)
             edges = binarize_constraints(M)
             for penalty, u, settled, _ in stages:
-                if not settled or settled[-1][settled[-1] > 0.0].tobytes() != u[u > 0.0].tobytes():
+                Md = np.where(edges, M, -penalty)
+                for v in [v for v, on_all_of_md in settled if on_all_of_md]:
+                    P = v > 0.0
+                    r = Md[np.ix_(P, P)] @ v[P]
+                    assert np.max(np.abs(r - (v[P] @ r) * v[P])) <= 1e-9 * abs(v[P] @ r), name
+                if not settled or settled[-1][0][settled[-1][0] > 0.0].tobytes() != u[u > 0.0].tobytes():
                     continue
                 P = u > 0.0
-                Md = np.where(edges, M, -penalty)
                 g = u @ Md
                 theta = float(u @ g)
                 assert np.max(np.abs(g[P] - theta * u[P])) <= 1e-9 * abs(theta), name
                 assert g[~P].max(initial=-np.inf) <= 0.0, name
                 ended += 1
-        assert ended > 200
+                wide += settled[-1][1]
+        assert ended > 200 and wide > 0
 
     def test_negative_eigenvector_entry_keeps_stepping(self, monkeypatch):
         M = one_negative_entry_affinity()
@@ -970,6 +986,44 @@ class TestStageSettle:
             sel, ref = solve_densest(M, rounding=rounding), reference_solve(M, rounding)
             assert sel.indices == ref.indices and sel.objective == ref.objective
             assert np.max(np.abs(sel.u - ref.u)) <= U_TOLERANCE
+
+
+def match_small_affinity(k):
+    """Pair k of the benchmark's match_small inputs at seed 1, by its draw rule."""
+    pair = ladder_pair(k % len(LADDER), *(int(s) for s in np.random.SeedSequence([1, 1, k]).generate_state(2)))
+    return build_affinity(pair.scan_i, pair.scan_j, ConsistencyParams())[0]
+
+
+class TestWideStages:
+    def test_a_wide_stage_settles_instead_of_stepping_on(self, monkeypatch):
+        # On seed-1 match_small pairs 14 (m = 178) and 36 (m = 124), stage 0
+        # held supp(u) at 90 of 178 and 62-63 of 124, above m/2, where no
+        # block is built and no settle was tried: the stage stepped to its
+        # 150-step cap, 302 and 332 products with all of Md per solve.  Now
+        # the ascent takes 37 and 36, and the settles' Lanczos products
+        # restricted to supp(u), which end those stages, 16 and 41 more.
+        work = counted_work(monkeypatch)
+        restricted, product = [0], clique_solver._Restricted.__matmul__
+
+        def counting(self, x):
+            restricted[0] += 1
+            return product(self, x)
+
+        monkeypatch.setattr(clique_solver._Restricted, "__matmul__", counting)
+        for k in (14, 36):
+            work["wide_products"] = restricted[0] = 0
+            solve_densest(match_small_affinity(k))
+            assert work["wide_products"] - restricted[0] <= 40, k
+            assert 0 < restricted[0] <= 45, k
+
+    def test_a_support_that_does_not_settle_drifts_by_growing_steps(self):
+        # Criterion 4's random instance 61 (m = 11): stage 0 holds supp(u) at
+        # 5 of 11 on all of Md, its settle is refused (the top eigenvector has
+        # an entry <= 0), and the stage steps to its 150-step cap.  Never
+        # doubling the step there ends the stage elsewhere, and the solve
+        # rounds to (1, 10), density 1.7328, not the oracle's (1, 9), 1.7435.
+        M = dict(criterion_4_random())["criterion-4-random-61"]
+        assert solve_densest(M, rounding="mass_capped").indices == brute_force_densest(M).indices == (1, 9)
 
 
 def counted_work(monkeypatch):
@@ -1039,12 +1093,19 @@ class TestSolverWork:
     # alone (moving u by 1e-16 to 4e-12): that adds one or two trailing
     # stages, each one refresh, block and row build or two (without the
     # settle: 18, 17 and 74 on scene-m548, 15, 15 and 55 on scene-m896).
+    # Stage 0 starts on all of Md, builds its first block once |W| <= m/3 and
+    # does not double its steps before that: against blocks from m/2 and
+    # doubling, two more wide products on scene-m548 (supp(u) 259, then 95,
+    # before the first block at 110) save three refreshes, 32 row builds and
+    # 222k held entries; on scene-m896 the support leaves C twice more on its
+    # way down (270 -> 230 -> 167), one more build, 11 row builds and 220k
+    # held entries.
     RECORDED = {
         "scene-m548": dict(
-            refreshes=20, blocks=19, row_builds=78, wide_products=2, held_entries=797984, ascent_steps=83, settles=13
+            refreshes=15, blocks=15, row_builds=42, wide_products=4, held_entries=573055, ascent_steps=80, settles=13
         ),
         "scene-m896": dict(
-            refreshes=16, blocks=16, row_builds=57, wide_products=4, held_entries=1356345, ascent_steps=80, settles=13
+            refreshes=15, blocks=15, row_builds=64, wide_products=4, held_entries=1545671, ascent_steps=79, settles=13
         ),
     }
 
@@ -1242,8 +1303,7 @@ def ladder_affinities():
     # raises the density only once another non-member is in, so the order
     # of the moves decides the end set.
     for k in (95, 188):
-        pair = ladder_pair(k % len(LADDER), *(int(s) for s in np.random.SeedSequence([1, 1, k]).generate_state(2)))
-        yield f"match-small-{k}", build_affinity(pair.scan_i, pair.scan_j, ConsistencyParams())[0]
+        yield f"match-small-{k}", match_small_affinity(k)
 
 
 def quantized_instances():
