@@ -10,10 +10,11 @@ and ranks tied candidates by u, never by label.  Each ascent step works on
 a working set C of supp(u) | {gradient > 0}, holding the penalized matrix on
 C's block and only on the columns off C that a Lipschitz certificate, set by
 one blockwise pass over C's rows, cannot yet put at gradient <= 0; while C
-spans over a third of the candidates, products come from M and the boolean
+spans over a third of the candidates, products come from M and the edge
 graph: no second m x m float array, nor a block over (m/3)^2, exists.  The
-penalty loop stops as soon as a larger penalty can no longer change u.  An
-exhaustive oracle is provided.
+edge graph is held as rows of bits (`_edge_bits`), one bit per pair, and read
+a few rows at a time through `_edge_rows`.  The penalty loop stops as soon
+as a larger penalty can no longer change u.  An exhaustive oracle is provided.
 """
 
 from __future__ import annotations
@@ -91,6 +92,20 @@ def binarize_constraints(M: np.ndarray) -> np.ndarray:
     return edges
 
 
+def _edge_bits(M: np.ndarray) -> np.ndarray:
+    """binarize_constraints(M) as rows of bits, np.packbits(..., axis=1, bitorder="little"), packed
+    _BLOCK_ROWS rows at a time so that no m x m bool array exists; M's diagonal must be positive."""
+    bits = np.empty((M.shape[0], (M.shape[0] + 7) // 8), dtype=np.uint8)
+    for r in range(0, M.shape[0], _BLOCK_ROWS):
+        bits[r : r + _BLOCK_ROWS] = np.packbits(M[r : r + _BLOCK_ROWS] > 0.0, axis=1, bitorder="little")
+    return bits
+
+
+def _edge_rows(edges: np.ndarray, rows, m: int) -> np.ndarray:
+    """Rows of the m-candidate edge graph held as `_edge_bits`, unpacked to bools (one row for an int)."""
+    return np.unpackbits(edges[rows], axis=-1, count=m, bitorder="little").view(bool)
+
+
 def _binary_density(M: np.ndarray, indices) -> float:
     idx = np.asarray(indices, dtype=np.intp)
     if not idx.size:
@@ -140,7 +155,7 @@ def _perron_vector(M: np.ndarray) -> np.ndarray:
 
 class _Penalized:
     """Md = (M on edges, -penalty off them), never formed: v @ Md = v @ M - penalty * (sum(v) - v @ edges),
-    a block of edge rows where v != 0 cast at a time.  Equal to the formed Md up to rounding if M is 0 off edges."""
+    a block of edge rows where v != 0 unpacked at a time.  Equal to the formed Md up to rounding if M is 0 off edges."""
 
     __array_ufunc__ = None  # so that `v @ Md` calls __rmatmul__
 
@@ -149,13 +164,13 @@ class _Penalized:
 
     def __rmatmul__(self, v: np.ndarray) -> np.ndarray:
         S, B = v.nonzero()[0], max(_BLOCK_ROWS, 2**16 // len(v))  # rows with v_i = 0 add nothing; small m: one block
-        on = sum(v[r] @ self.edges[r] for r in (S[i : i + B] for i in range(0, S.size, B)))
+        on = sum(v[r] @ _edge_rows(self.edges, r, len(v)) for r in (S[i : i + B] for i in range(0, S.size, B)))
         return v @ self.M - self.penalty * (v.sum() - on)
 
 
 def _penalized(M: np.ndarray, edges: np.ndarray, penalty: float, rows: np.ndarray, cols=slice(None)) -> np.ndarray:
-    """Md[rows, cols], bitwise as np.where(edges, M, -penalty): M * e + (e - 1) * penalty, e the edges as floats."""
-    out, e = M[rows][:, cols], edges[rows][:, cols].astype(float)
+    """Md[rows, cols], bitwise as np.where(edges, M, -penalty): M * e + (e - 1) * penalty, e the edge rows as floats."""
+    out, e = M[rows][:, cols], _edge_rows(edges, rows, M.shape[0])[:, cols].astype(float)
     out *= e
     out += np.multiply(np.subtract(e, 1.0, out=e), penalty, out=e)
     return out
@@ -171,7 +186,8 @@ def _screen(g: np.ndarray, norms, C: np.ndarray):
 
 
 def _refresh(M: np.ndarray, edges: np.ndarray, penalty: float, C: np.ndarray, v: np.ndarray, S, norms=None):
-    """Global refresh at v: one pass over Md[C, :], _PASS_ROWS rows at a time, never held whole.
+    """Global refresh at v: one pass over Md[C, :], _PASS_ROWS rows at a time, never held whole: each
+    block of rows is released before the next is built from M and the edge bits.
 
     Returns g = v @ Md[C, :], the block Md[C, C] and norms |Md[C, i]| (None and the given `norms`, if any),
     S (if None, screened by this g and read after the pass), Md[C, S] and the radius: g_i(v') <= g_i(v) +
@@ -191,6 +207,7 @@ def _refresh(M: np.ndarray, edges: np.ndarray, penalty: float, C: np.ndarray, v:
         if block is not None:
             sq += np.einsum("ij,ij->j", rows, rows)
             np.take(rows, C, axis=1, out=block[r], mode="clip")
+        del rows
     norms = np.sqrt(sq) if norms is None else norms
     if S is None:
         S = _screen(g, norms, C)
@@ -345,7 +362,7 @@ def _round_greedy(order: np.ndarray, M: np.ndarray, edges: np.ndarray, cap: int 
         if selected and new_density < density - 1e-12:
             break
         selected.append(v)
-        feasible &= edges[v]
+        feasible &= _edge_rows(edges, v, M.shape[0])
         weight_sum, density = new_sum, new_density
         order = order[k + 1 :]
     return selected
@@ -379,7 +396,7 @@ def _climb(starts: list[list[int]], rank: np.ndarray, M: np.ndarray, edges: np.n
     for s, start in zip(S, starts):
         s[start] = True
     H = np.stack([M[start].sum(axis=0) for start in starts])
-    F = np.stack([edges[start].all(axis=0) for start in starts]) & ~S
+    F = np.stack([_edge_rows(edges, start, rank.size).all(axis=0) for start in starts]) & ~S
     W = np.array([h[start].sum() for h, start in zip(H, starts)])
     state = [S, H, F, W, S.sum(axis=1)]  # rows are written back here as they stop
     for drops in (False, True):
@@ -407,10 +424,10 @@ def _climb(starts: list[list[int]], rank: np.ndarray, M: np.ndarray, edges: np.n
             rows = M[k]
             rows[~grow] *= -1.0
             H += rows
-            F &= edges[k]
+            F &= _edge_rows(edges, k, rank.size)
             F[r, k] = False
             for i in np.flatnonzero(~grow):  # a drop can free candidates the dropped member blocked
-                F[i] = edges[S[i]].all(axis=0) & ~S[i]
+                F[i] = _edge_rows(edges, S[i], rank.size).all(axis=0) & ~S[i]
             W, n = np.where(grow, grown, shrunk), n + np.where(grow, 1, -1)
     S, _, _, W, n = state
     density = W / n
@@ -457,11 +474,11 @@ def solve_densest(M: np.ndarray, rounding: str = "greedy_density") -> Selection:
     if rounding not in ROUNDING_RULES:
         raise ValueError(f"unknown rounding rule {rounding!r}")
     M = _validate_affinity(M)
-    return _solve(M, binarize_constraints(M), rounding)
+    return _solve(M, _edge_bits(M), rounding)
 
 
 def _solve(M: np.ndarray, edges: np.ndarray, rounding: str) -> Selection:
-    """`solve_densest` on an affinity known valid, with edges = binarize_constraints(M) given."""
+    """`solve_densest` on an affinity known valid, with its edge graph given as `_edge_bits(M)`."""
     m = M.shape[0]
     if m == 0:
         return Selection((), np.zeros(0), 0.0)
@@ -474,7 +491,8 @@ def _solve(M: np.ndarray, edges: np.ndarray, rounding: str) -> Selection:
         # is penalty-free and off W only falls, so later stages would repeat
         # this stage's rejected trials and return u unchanged.
         W = np.flatnonzero((u > 0.0) | (g > 0.0))
-        if not moved and edges[np.ix_(W, W)].all():
+        blocks = (W[i : i + _BLOCK_ROWS] for i in range(0, W.size, _BLOCK_ROWS))
+        if not moved and all(_edge_rows(edges, r, m)[:, W].all() for r in blocks):
             break
         penalty *= _PENALTY_GROWTH
     indices = _round(u, u0, M, edges, rounding)

@@ -6,7 +6,8 @@ distance between their objects inside scan i agrees with the distance between
 the matched objects inside scan j; agreement is gated at epsilon and scored
 with a Gaussian kernel of width sigma.  Every distance function builds its
 m x m affinity through one blockwise kernel, `_blockwise_affinity`, which
-holds no m x m temporary besides the affinity itself.
+holds no m x m temporary besides the affinity itself; the solver's edge graph,
+one bit per pair, is packed from the finished affinity 64 rows at a time.
 
 A `Scan` stores each object once, as rows of `kinds`, `b0` and one direction
 or normal r (`Scan.rep`), so `_pair_geometry` needs no SVD.  The direction
@@ -29,6 +30,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .clique_solver import _edge_bits
 from .graff_core import _SPAN_RANK_TOL, GraffElement, _cross, _frame_reps, _rep_frames, shifted_graff_distance
 
 _AFFINITY_ROWS = 64  # affinity temporaries stay _AFFINITY_ROWS x m, not m x m
@@ -278,10 +280,9 @@ def _centroid_distance_matrix(scan: Scan) -> np.ndarray:
     return np.sqrt(np.sum(diff * diff, axis=2))
 
 
-def _blockwise_affinity(terms, a_idx: np.ndarray, b_idx: np.ndarray, epsilon: float, edges=None) -> np.ndarray:
+def _blockwise_affinity(terms, a_idx: np.ndarray, b_idx: np.ndarray, epsilon: float) -> np.ndarray:
     """Gated Gaussian affinity over candidates (a_idx[p], b_idx[p]), built in
-    row blocks of the upper triangle, each mirrored into the lower one; an m
-    x m bool `edges`, if given, receives M > 0 with a True diagonal.
+    row blocks of the upper triangle, each mirrored into the lower one.
 
     Term (D_i, D_j, denom) gives pair (p, q) the score C = |D_i[a_p, a_q] -
     D_j[b_p, b_q]| and the factor exp(-(C * C) / denom); C >= epsilon in
@@ -312,12 +313,7 @@ def _blockwise_affinity(terms, a_idx: np.ndarray, b_idx: np.ndarray, epsilon: fl
                 block *= np.exp(C, out=C)
         block *= keep  # gated entries become +0.0: every factor is finite and >= 0
         M[r1:, r0:r1] = M[r0:r1, r1:].T
-        if edges is not None:
-            np.greater(block, 0.0, out=edges[r0:r1, r0:])
-            edges[r1:, r0:r1] = edges[r0:r1, r1:].T
     np.fill_diagonal(M, 1.0)
-    if edges is not None:
-        np.fill_diagonal(edges, True)
     return M
 
 
@@ -343,11 +339,11 @@ def build_affinity(
 
 
 def _affinity_graph(scan_i: Scan, scan_j: Scan, params: ConsistencyParams, distance_fn: DistanceFn, edges=True):
-    """`build_affinity`'s M, uncapped, and (None unless `edges`) its graph, binarize_constraints(M) bitwise."""
+    """`build_affinity`'s M, uncapped, and (None unless `edges`) its graph binarize_constraints(M) as
+    the solver's rows of bits, `_edge_bits(M)`: the diagonal of M is 1, so its bits are set."""
     distance_fn, (a_idx, b_idx) = DistanceFn(distance_fn), _candidate_pairs(scan_i, scan_j)
-    E = np.empty((a_idx.size, a_idx.size), dtype=bool) if edges else None
     if a_idx.size == 0:
-        return np.zeros((0, 0)), E
+        return np.zeros((0, 0)), _edge_bits(np.zeros((0, 0))) if edges else None
     distances = {
         DistanceFn.GRAFF_SHIFTED: lambda scan: internal_distance_matrix(scan, params.rho),
         DistanceFn.GR_ONLY: _gr_distance_matrix,
@@ -361,5 +357,5 @@ def _affinity_graph(scan_i: Scan, scan_j: Scan, params: ConsistencyParams, dista
         kernels = [(distances[DistanceFn.EUCLIDEAN_CENTROID], s2), (distances[DistanceFn.GR_ONLY], s2)]
     else:
         kernels = [(distances[distance_fn], 2.0 * params.sigma * params.sigma)]
-    terms = [(D(scan_i), D(scan_j), denom) for D, denom in kernels]
-    return _blockwise_affinity(terms, a_idx, b_idx, params.epsilon, E), E
+    M = _blockwise_affinity([(D(scan_i), D(scan_j), denom) for D, denom in kernels], a_idx, b_idx, params.epsilon)
+    return M, _edge_bits(M) if edges else None

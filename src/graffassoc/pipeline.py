@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .consistency import Candidate, ConsistencyParams, DistanceFn, Scan, _candidate_pairs, unique_matches
-# The kernel's edge graph goes to the solve, which skips validation; perfbench/tracing.py times both by these names.
+# The kernel's edge bits go to the solve, which skips validation; perfbench/tracing.py times both by these names.
 from .clique_solver import _solve as solve_densest
 from .consistency import _affinity_graph as build_affinity
 from .graff_core import RigidTransform

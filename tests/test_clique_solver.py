@@ -75,6 +75,16 @@ def block_diag_ones(sizes):
     return A
 
 
+def packed(M):
+    """binarize_constraints(M) as the solver holds it: rows of bits, np.packbits little-endian."""
+    return np.packbits(binarize_constraints(M), axis=1, bitorder="little")
+
+
+def unpacked(bits, m):
+    """Rows of a packed m-candidate edge graph as bools."""
+    return np.unpackbits(bits, axis=-1, count=m, bitorder="little").view(bool)
+
+
 class TestBinarize:
     def test_zero_is_no_edge(self):
         M = np.eye(3)
@@ -475,7 +485,7 @@ class TestWorkingSetParity:
             stages.clear()
             solve_densest(M)
             penalty, u, g, _, norms = stages[-1]
-            edges = binarize_constraints(M)
+            edges = packed(M)
             while (penalty := penalty * _PENALTY_GROWTH) <= M.shape[0] + 1.0:
                 u_next, g, moved, norms = ascend(M, edges, penalty, u, g, norms)
                 assert not moved and np.array_equal(u_next, u), name
@@ -498,7 +508,7 @@ def formed_rows(M, edges, penalty, W):
     if 2 * W.size > M.shape[0]:
         Md = clique_solver._Penalized(M, edges, penalty)
         return np.arange(M.shape[0]), Md, Md
-    rows = np.where(edges[W], M[W], -penalty)
+    rows = np.where(unpacked(edges[W], M.shape[0]), M[W], -penalty)
     return W, rows, rows[:, W]
 
 
@@ -609,7 +619,7 @@ class TestCertifiedRefresh:
                     assert S.size == 0 and np.array_equal(g, u @ clique_solver._Penalized(M, edges, penalty)), name
                     full += 1
                     continue
-                rows = np.where(edges[C], M[C], -penalty)
+                rows = np.where(unpacked(edges[C], M.shape[0]), M[C], -penalty)
                 exact, known = u[C] @ rows, np.zeros(M.shape[0], dtype=bool)
                 known[C] = known[S] = True
                 bound = 4.0 * C.size * np.finfo(float).eps * np.sqrt(np.einsum("ij,ij->j", rows, rows))
@@ -686,10 +696,9 @@ class TestCertifiedRefresh:
         M = np.eye(15)  # m = 15: both builds, |C| = 4 and 5, get a block
         M[:5, :5] = 0.9
         np.fill_diagonal(M, 1.0)
-        edges = binarize_constraints(M)
         u = np.zeros(15)
         u[:4] = 0.5
-        g = u @ np.where(edges, M, -_INITIAL_PENALTY)
+        g = u @ np.where(binarize_constraints(M), M, -_INITIAL_PENALTY)
         assert g[4] > 0.0
         g[4] = -5.0
         built, at_steps = [], []
@@ -706,7 +715,7 @@ class TestCertifiedRefresh:
 
         monkeypatch.setattr(clique_solver, "_working_set", recording)
         monkeypatch.setattr(clique_solver, "_lapsed", counting)
-        clique_solver._ascend(M, edges, _INITIAL_PENALTY, u, g, np.ones(15))
+        clique_solver._ascend(M, packed(M), _INITIAL_PENALTY, u, g, np.ones(15))
         assert at_steps[0] == 2 and built[:2] == [[0, 1, 2, 3], [0, 1, 2, 3, 4]]
 
 
@@ -750,7 +759,7 @@ class TestPenalizedProducts:
             # does the rounding of both sides.
             v, penalty = _perron_vector(M), _INITIAL_PENALTY
             while penalty <= M.shape[0] + 1.0:
-                out = v @ clique_solver._Penalized(M, edges, penalty)
+                out = v @ clique_solver._Penalized(M, packed(M), penalty)
                 assert np.max(np.abs(out - v @ np.where(edges, M, -penalty))) <= 1e-12 * penalty, name
                 penalty *= _PENALTY_GROWTH
 
@@ -778,23 +787,24 @@ class TestPenalizedProducts:
             for penalty in (_INITIAL_PENALTY, 7.3, m + 1.0):
                 ref = np.where(edges[C], M[C], -penalty)
                 norms = np.sqrt(np.einsum("ij,ij->j", ref, ref))
-                g, block, got_norms, S, cols, _ = clique_solver._refresh(M, edges, penalty, C, v, None)
+                g, block, got_norms, S, cols, _ = clique_solver._refresh(M, packed(M), penalty, C, v, None)
                 assert block.tobytes() == ref[:, C].tobytes()
                 assert cols.tobytes() == ref[:, S].tobytes()
                 assert np.all(np.abs(got_norms - norms) <= 1e-12 * norms)
                 assert np.all(np.abs(g - v @ ref) <= 4.0 * size * np.finfo(float).eps * norms)
                 screened += S.size
                 given = rng.permutation(np.setdiff1d(np.arange(m), C))[:40]
-                out = clique_solver._refresh(M, edges, penalty, C, v, given, got_norms)
+                out = clique_solver._refresh(M, packed(M), penalty, C, v, given, got_norms)
                 assert out[1] is None and out[3] is given and out[4].tobytes() == ref[:, given].tobytes()
                 assert out[0].tobytes() == g.tobytes()
         assert screened > 0
 
-    def test_peak_at_most_0_51_m_by_m_float_arrays(self, instances):
-        # Above its input, a solve holds at most 0.51 of one m x m float
-        # array's worth of bytes at m = 1002 (0.464 measured, plus 10%; 0.538
-        # with blocks from m/2); forming Md took 1.14 of them, and holding
-        # whole rows Md[C, :] 0.78.
+    def test_peak_at_most_0_39_m_by_m_float_arrays(self, instances):
+        # Above its input, a solve holds at most 0.39 of one m x m float
+        # array's worth of bytes at m = 1002 (0.354 measured, plus 10%).  The
+        # edge graph as an m x m bool array took 0.464 (its own 0.125 of them),
+        # blocks from m/2 0.538, holding whole rows Md[C, :] 0.78 and forming
+        # Md 1.14.
         M = instances[-1][1]
         m = M.shape[0]
         tracemalloc.start()
@@ -805,7 +815,7 @@ class TestPenalizedProducts:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 0.51 * 8 * m * m
+        assert peak <= 0.39 * 8 * m * m
 
 
 # The ascent before it kept u and g on the working set: full-length u and g
@@ -919,7 +929,7 @@ def recording_settles(monkeypatch):
             stages[-1][2].append((v, wide))
         else:
             P = np.flatnonzero(uC)
-            A = np.where(block.edges, block.M, -block.penalty) if wide else block
+            A = np.where(unpacked(block.edges, block.M.shape[0]), block.M, -block.penalty) if wide else block
             w = np.linalg.eigh(A[np.ix_(P, P)])[1][:, -1]
             stages[-1][3] += (w if w.sum() >= 0.0 else -w).min() <= 0.0
         return v
@@ -1115,6 +1125,35 @@ class TestSolverWork:
             work.update(dict.fromkeys(work, 0))
             solve_densest(M)
             assert all(work[key] <= count for key, count in self.RECORDED[name].items()), (name, work)
+
+
+class TestPackedEdges:
+    @pytest.mark.parametrize("rounding", ROUNDING_RULES)
+    def test_given_bits_solve_as_the_public_entry_point(self, rounding):
+        # The pipeline hands the kernel's bits to `_solve`; the public entry
+        # point packs them from the validated M.  Both give the same Selection
+        # bitwise on criterion 4's instances.
+        instances = [*criterion_4_random(), *criterion_4_planted()]
+        assert len(instances) == 300
+        for name, M in instances:
+            sel, given = solve_densest(M, rounding=rounding), clique_solver._solve(M, packed(M), rounding)
+            assert given.indices == sel.indices and given.u.tobytes() == sel.u.tobytes(), name
+            assert given.objective == sel.objective, name
+
+    def test_public_entry_point_packs_the_binarized_graph(self, monkeypatch):
+        # The bits `solve_densest` packs from M are binarize_constraints(M)
+        # packed, padded rows included.
+        given, solve = [], clique_solver._solve
+
+        def recording(M, edges, rounding):
+            given.append(edges)
+            return solve(M, edges, rounding)
+
+        monkeypatch.setattr(clique_solver, "_solve", recording)
+        for m in (0, 1, 7, 8, 9, 17, 130):
+            M = random_gated_matrix(np.random.default_rng(m), m)
+            solve_densest(M)
+            assert given[-1].dtype == np.uint8 and given[-1].tobytes() == packed(M).tobytes(), m
 
 
 def fixed_power_init(M):

@@ -25,7 +25,7 @@ from graffassoc import (
     to_pd,
     weight,
 )
-from graffassoc import consistency
+from graffassoc import clique_solver, consistency
 from graffassoc.graff_core import subspace_gap
 from graffassoc.consistency import (
     _blockwise_affinity,
@@ -695,11 +695,10 @@ class TestBlockwiseAffinity:
         assert peak <= 1.5 * 8 * m * m
 
 
-def _reference_blockwise_affinity(terms, a_idx, b_idx, epsilon, edges=None):
+def _reference_blockwise_affinity(terms, a_idx, b_idx, epsilon):
     """`_blockwise_affinity` as it stood before its leaner passes (two-step
     fancy gathers, a mask started from np.ones, the exponent negated and then
-    divided).  Kept as the bitwise oracle for the kernel; `edges`, if given,
-    is filled from the finished M as `binarize_constraints` would."""
+    divided).  Kept as the bitwise oracle for the kernel."""
     m = len(a_idx)
     M = np.empty((m, m))
     for r0 in range(0, m, consistency._AFFINITY_ROWS):
@@ -722,8 +721,6 @@ def _reference_blockwise_affinity(terms, a_idx, b_idx, epsilon, edges=None):
         block *= keep
         M[r1:, r0:r1] = M[r0:r1, r1:].T
     np.fill_diagonal(M, 1.0)
-    if edges is not None:
-        edges[...] = binarize_constraints(M)
     return M
 
 
@@ -781,23 +778,50 @@ class TestLeanAffinityKernel:
         assert M.tobytes() == np.eye(n).tobytes()
 
 
+def packed_graph(M):
+    """binarize_constraints(M) as rows of bits, the form the solver takes."""
+    return np.packbits(binarize_constraints(M), axis=1, bitorder="little")
+
+
 class TestAffinityGraph:
     @pytest.mark.parametrize("fn", list(DistanceFn))
     def test_edges_equal_binarized_affinity(self, fn):
-        # The edge graph the pipeline hands to the solver comes from the
-        # kernel's own pass and is bitwise binarize_constraints(M), also where
-        # an ungated weight underflows to 0 (sigma = 1e-3: exp(-C^2 / 2 sigma^2)
-        # is 0 from C of about 0.04, below the gate at 0.2).
+        # The edge graph the pipeline hands to the solver is packed from the
+        # kernel's M, one bit per pair, and is bitwise binarize_constraints(M)
+        # packed, also where an ungated weight underflows to 0 (sigma = 1e-3:
+        # exp(-C^2 / 2 sigma^2) is 0 from C of about 0.04, below the gate at 0.2).
         from graffassoc import PairConfig, SceneConfig, generate_scene, make_loop_pair
 
         pair = make_loop_pair(generate_scene(SceneConfig(seed=21)), PairConfig(clutter=4, seed=22))
         counts = []
         for params in (ConsistencyParams(), ConsistencyParams(sigma=1e-3)):
             M, edges = consistency._affinity_graph(pair.scan_i, pair.scan_j, params, fn)
+            m = M.shape[0]
             assert M.tobytes() == build_affinity(pair.scan_i, pair.scan_j, params, fn)[0].tobytes()
-            assert edges.dtype == bool and edges.tobytes() == binarize_constraints(M).tobytes()
-            counts.append(np.count_nonzero(edges))
+            assert edges.dtype == np.uint8 and edges.shape == (m, (m + 7) // 8)
+            assert edges.tobytes() == packed_graph(M).tobytes()
+            counts.append(int(np.unpackbits(edges).sum()))
         assert counts[1] < counts[0]
+
+    # (lines, planes) of scan i, then of scan j: m = lines_i * lines_j + planes_i * planes_j
+    PADDING = {0: (1, 0, 0, 1), 1: (1, 0, 1, 0), 7: (7, 0, 1, 0), 8: (2, 2, 2, 2), 9: (3, 0, 3, 0), 17: (4, 1, 4, 1)}
+
+    @pytest.mark.parametrize("m", sorted(PADDING))
+    def test_padded_rows(self, m):
+        # Rows of ceil(m / 8) bytes: the bits past m in each row's last byte
+        # are 0, and any rows unpack to those of binarize_constraints(M).
+        sizes = self.PADDING[m]
+        rng = np.random.default_rng(m)
+        scan_i = make_scan(rng, sizes[0], sizes[1], centroids=True)
+        scan_j = make_scan(rng, sizes[2], sizes[3], centroids=True)
+        for fn in DistanceFn:
+            M, edges = consistency._affinity_graph(scan_i, scan_j, ConsistencyParams(epsilon=0.6), fn)
+            assert M.shape == (m, m) and edges.dtype == np.uint8 and edges.shape == (m, (m + 7) // 8)
+            assert edges.tobytes() == packed_graph(M).tobytes()
+            assert not np.unpackbits(edges, axis=1, bitorder="little")[:, m:].any()
+            for rows in (slice(None), np.arange(m)[::-1], np.arange(m) % 2 == 0):
+                assert np.array_equal(clique_solver._edge_rows(edges, rows, m), binarize_constraints(M)[rows])
+            assert np.array_equal(clique_solver._edge_bits(M), edges)
 
 
 class TestUniqueMatches:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -315,3 +316,24 @@ def test_no_production_path_builds_an_element(tmp_path, monkeypatch, capsys):
     for fn in DistanceFn:
         assert run_trial(pair, distance_fn=fn).n_candidates > 0
     assert len(run_campaign(CampaignConfig(trials=1, tiers=("easy",)))) == 1
+
+
+def test_peak_memory_at_m_2220_at_most_1_31_m_by_m_doubles():
+    # associate_scans on a 14-line / 46-plane pair with clutter 10 (m = 2220)
+    # holds at most 1.31 m x m float arrays' worth of bytes above its input:
+    # 1.290 measured with the edge graph packed as bits and each refresh
+    # block's rows released before the next (1.5% slack); 1.403 with an
+    # m x m bool edge graph.  M alone is 1.0 of them.
+    scene = generate_scene(SceneConfig(n_lines=14, n_planes=46, seed=4))
+    pair = make_loop_pair(scene, PairConfig(baseline_m=8.0, overlap=0.8, clutter=10, seed=5))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assoc = associate_scans(pair.scan_i, pair.scan_j)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    m = assoc.n_candidates
+    assert m == 2220 and assoc.failure is None
+    assert peak <= 1.31 * 8 * m * m, peak / (8 * m * m)
