@@ -12,9 +12,10 @@ C's block and only on the columns off C that a Lipschitz certificate, set by
 one blockwise pass over C's rows, cannot yet put at gradient <= 0; while C
 spans over a third of the candidates, products come from M and the edge
 graph: no second m x m float array, nor a block over (m/3)^2, exists.  The
-edge graph is held as rows of bits (`_edge_bits`), one bit per pair, and read
-a few rows at a time through `_edge_rows`.  The penalty loop stops as soon
-as a larger penalty can no longer change u.  An exhaustive oracle is provided.
+solve packs the edge graph from M as rows of bits (`_edge_bits`), one bit per
+pair, read a few rows at a time through `_edge_rows`.  The penalty loop stops
+as soon as a larger penalty can no longer change u.  An exhaustive oracle is
+provided.
 """
 
 from __future__ import annotations
@@ -185,30 +186,27 @@ def _screen(g: np.ndarray, norms, C: np.ndarray):
     return np.flatnonzero(slack < _SCREEN)
 
 
-def _refresh(M: np.ndarray, edges: np.ndarray, penalty: float, C: np.ndarray, v: np.ndarray, S, norms=None):
+def _refresh(M: np.ndarray, edges: np.ndarray, penalty: float, C: np.ndarray, v: np.ndarray, S):
     """Global refresh at v: one pass over Md[C, :], _PASS_ROWS rows at a time, never held whole: each
     block of rows is released before the next is built from M and the edge bits.
 
-    Returns g = v @ Md[C, :], the block Md[C, C] and norms |Md[C, i]| (None and the given `norms`, if any),
-    S (if None, screened by this g and read after the pass), Md[C, S] and the radius: g_i(v') <= g_i(v) +
-    |Md[C, i]| |v' - v| stays <= 0 off C | S while |v' - v| <= radius (less a margin for the rounding of
-    both products).  It is negative if some g_i off C | S, screened by an older g, is not below 0."""
+    Returns g = v @ Md[C, :], the block Md[C, C], norms |Md[C, i]|, S (if None, screened by this g and
+    read after the pass), Md[C, S] and the radius: g_i(v') <= g_i(v) + |Md[C, i]| |v' - v| stays <= 0
+    off C | S while |v' - v| <= radius (less a margin for the rounding of both products).  It is
+    negative if some g_i off C | S, screened by an older g, is not below 0."""
     m = M.shape[0]
-    g, cols = np.zeros(m), None if S is None else np.empty((C.size, S.size))
-    block = sq = None
-    if norms is None:
-        block, sq = np.empty((C.size, C.size)), np.zeros(m)
+    g, sq, block = np.zeros(m), np.zeros(m), np.empty((C.size, C.size))
+    cols = None if S is None else np.empty((C.size, S.size))
     for i in range(0, C.size, _PASS_ROWS):
         r = slice(i, i + _PASS_ROWS)
         rows = _penalized(M, edges, penalty, C[r])
         g += v[r] @ rows
         if cols is not None:  # indices in range: mode="clip" only skips the bounds check
             np.take(rows, S, axis=1, out=cols[r], mode="clip")
-        if block is not None:
-            sq += np.einsum("ij,ij->j", rows, rows)
-            np.take(rows, C, axis=1, out=block[r], mode="clip")
+        sq += np.einsum("ij,ij->j", rows, rows)
+        np.take(rows, C, axis=1, out=block[r], mode="clip")
         del rows
-    norms = np.sqrt(sq) if norms is None else norms
+    norms = np.sqrt(sq)
     if S is None:
         S = _screen(g, norms, C)
         cols = np.empty((C.size, S.size))
@@ -274,7 +272,8 @@ def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, 
     a block Md[C, C], C a superset of W rebuilt when W leaves C or falls below
     half of it, or on all of Md until |W| <= m/3.  Off C, every step reads g
     from Md[C, S] on the screened columns S, and g is certified <= 0 elsewhere
-    until v leaves the radius of the last global refresh, which then runs at v.
+    until v leaves the radius of the last global refresh; a refresh then runs
+    at v and rebuilds the block and the norms, the old cache released first.
     `g` is the last stage's gradient at u, or None; a larger penalty only
     lowers it, so it bounds W.  `norms`, the last stage's last column norms
     (None after all of Md), let the first build screen before its pass.  Once
@@ -329,8 +328,9 @@ def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, 
             alpha = step * 2.0 if norms is not None or held > _SETTLE_HELD else step
         moved, n, d = True, np.count_nonzero(v), v - uC
         if _lapsed(v, ref, radius):
-            g[S], cols = gS, None
-            g, _, _, S, cols, radius = _refresh(M, edges, penalty, C, v, _screen(g, norms, C), norms)
+            g[S] = gS
+            block = cols = None  # release the old cache before building the next
+            g, block, norms, S, cols, radius = _refresh(M, edges, penalty, C, v, _screen(g, norms, C))
             ref, gS = v, g[S]
         else:
             gS = v @ cols
@@ -473,15 +473,15 @@ def solve_densest(M: np.ndarray, rounding: str = "greedy_density") -> Selection:
     """
     if rounding not in ROUNDING_RULES:
         raise ValueError(f"unknown rounding rule {rounding!r}")
-    M = _validate_affinity(M)
-    return _solve(M, _edge_bits(M), rounding)
+    return _solve(_validate_affinity(M), rounding)
 
 
-def _solve(M: np.ndarray, edges: np.ndarray, rounding: str) -> Selection:
-    """`solve_densest` on an affinity known valid, with its edge graph given as `_edge_bits(M)`."""
+def _solve(M: np.ndarray, rounding: str) -> Selection:
+    """`solve_densest` on an affinity known valid, such as `build_affinity`'s."""
     m = M.shape[0]
     if m == 0:
         return Selection((), np.zeros(0), 0.0)
+    edges = _edge_bits(M)
     u = u0 = _perron_vector(M)
     g = norms = None
     penalty = _INITIAL_PENALTY

@@ -6,8 +6,9 @@ distance between their objects inside scan i agrees with the distance between
 the matched objects inside scan j; agreement is gated at epsilon and scored
 with a Gaussian kernel of width sigma.  Every distance function builds its
 m x m affinity through one blockwise kernel, `_blockwise_affinity`, which
-holds no m x m temporary besides the affinity itself; the solver's edge graph,
-one bit per pair, is packed from the finished affinity 64 rows at a time.
+holds no m x m temporary besides the affinity itself.  Every entry is finite
+and in [0, 1] for any accepted `ConsistencyParams`: a score that overflows to
+inf or NaN gates to 0.
 
 A `Scan` stores each object once, as rows of `kinds`, `b0` and one direction
 or normal r (`Scan.rep`), so `_pair_geometry` needs no SVD.  The direction
@@ -26,11 +27,10 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .clique_solver import _edge_bits
 from .graff_core import _SPAN_RANK_TOL, GraffElement, _cross, _frame_reps, _rep_frames, shifted_graff_distance
 
 _AFFINITY_ROWS = 64  # affinity temporaries stay _AFFINITY_ROWS x m, not m x m
@@ -191,7 +191,7 @@ def consistency_score(
 
 
 def unique_matches(
-    candidates: Sequence[Candidate] | Mapping[int, Candidate],
+    candidates: Sequence[Candidate],
     indices: Sequence[int],
     scores: np.ndarray,
 ) -> tuple[Candidate, ...]:
@@ -257,7 +257,8 @@ def internal_distance_matrix(scan: Scan, rho: float) -> np.ndarray:
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     theta, gap = _pair_geometry(scan)
-    th_aff = np.arctan(gap / rho)
+    with np.errstate(over="ignore"):  # a tiny rho: gap / rho is inf, and arctan(inf) = pi/2 is the limit
+        th_aff = np.arctan(gap / rho)
     return np.sqrt(theta * theta + th_aff * th_aff)
 
 
@@ -290,7 +291,9 @@ def _blockwise_affinity(terms, a_idx: np.ndarray, b_idx: np.ndarray, epsilon: fl
     symmetric bitwise, so (q, p) would score the same and swapping the scans
     permutes M exactly.  Flooring the exponent at -(epsilon *
     epsilon) / denom moves no ungated entry (rounding is monotone) and keeps
-    gated ones off exp's slow underflow path.
+    gated ones off exp's slow underflow path.  A score of inf or NaN (inf -
+    inf, from distances that overflow at a tiny rho) fails the gate, and
+    `np.fmax` floors its exponent like any other, so every factor is finite.
     """
     m = len(a_idx)
     M = np.empty((m, m))
@@ -300,13 +303,14 @@ def _blockwise_affinity(terms, a_idx: np.ndarray, b_idx: np.ndarray, epsilon: fl
         block = M[r0:r1, r0:]
         for t, (D_i, D_j, denom) in enumerate(terms):
             C = np.take(D_i[a_r], a_c, axis=1)
-            C -= np.take(D_j[b_r], b_c, axis=1)
-            np.abs(C, out=C)
-            keep = C < epsilon if t == 0 else keep & (C < epsilon)
-            np.multiply(C, C, out=C)
-            with np.errstate(over="ignore"):  # sigma < ~1e-155: -inf, and exp(-inf) = 0 is the kernel's limit
+            # inf - inf is NaN, and C * C or the quotient may overflow (rho or sigma < ~1e-155): both gate
+            with np.errstate(over="ignore", invalid="ignore"):
+                C -= np.take(D_j[b_r], b_c, axis=1)
+                np.abs(C, out=C)
+                keep = C < epsilon if t == 0 else keep & (C < epsilon)
+                np.multiply(C, C, out=C)
                 np.divide(C, -denom, out=C)  # exactly -(C * C) / denom: negation commutes with rounding
-            np.maximum(C, (epsilon * epsilon) / -denom, out=C)
+            np.fmax(C, (epsilon * epsilon) / -denom, out=C)  # fmax: NaN floors too
             if t == 0:
                 np.exp(C, out=block)
             else:
@@ -330,20 +334,12 @@ def build_affinity(
     same-dimension candidate set is always used, and exceeding the cap raises
     instead of silently truncating it.
     """
-    distance_fn = DistanceFn(distance_fn)
-    candidates = generate_candidates(scan_i, scan_j)
-    m = len(candidates)
-    if max_candidates is not None and m > max_candidates:
-        raise ValueError(f"candidate set of size {m} exceeds the cap of {max_candidates}")
-    return _affinity_graph(scan_i, scan_j, params, distance_fn, edges=False)[0], candidates
-
-
-def _affinity_graph(scan_i: Scan, scan_j: Scan, params: ConsistencyParams, distance_fn: DistanceFn, edges=True):
-    """`build_affinity`'s M, uncapped, and (None unless `edges`) its graph binarize_constraints(M) as
-    the solver's rows of bits, `_edge_bits(M)`: the diagonal of M is 1, so its bits are set."""
     distance_fn, (a_idx, b_idx) = DistanceFn(distance_fn), _candidate_pairs(scan_i, scan_j)
-    if a_idx.size == 0:
-        return np.zeros((0, 0)), _edge_bits(np.zeros((0, 0))) if edges else None
+    if max_candidates is not None and a_idx.size > max_candidates:
+        raise ValueError(f"candidate set of size {a_idx.size} exceeds the cap of {max_candidates}")
+    candidates = list(map(Candidate, a_idx.tolist(), b_idx.tolist()))
+    if not candidates:
+        return np.zeros((0, 0)), candidates
     distances = {
         DistanceFn.GRAFF_SHIFTED: lambda scan: internal_distance_matrix(scan, params.rho),
         DistanceFn.GR_ONLY: _gr_distance_matrix,
@@ -357,5 +353,6 @@ def _affinity_graph(scan_i: Scan, scan_j: Scan, params: ConsistencyParams, dista
         kernels = [(distances[DistanceFn.EUCLIDEAN_CENTROID], s2), (distances[DistanceFn.GR_ONLY], s2)]
     else:
         kernels = [(distances[distance_fn], 2.0 * params.sigma * params.sigma)]
-    M = _blockwise_affinity([(D(scan_i), D(scan_j), denom) for D, denom in kernels], a_idx, b_idx, params.epsilon)
-    return M, _edge_bits(M) if edges else None
+    with np.errstate(over="ignore"):  # a tiny rho: centroid distances / rho overflow to inf, which the kernel gates
+        terms = [(D(scan_i), D(scan_j), denom) for D, denom in kernels]
+    return _blockwise_affinity(terms, a_idx, b_idx, params.epsilon), candidates

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .consistency import Candidate, ConsistencyParams, DistanceFn, Scan, _candidate_pairs, unique_matches
-# The kernel's edge bits go to the solve, which skips validation; perfbench/tracing.py times both by these names.
+from .consistency import ConsistencyParams, DistanceFn, Scan, build_affinity, unique_matches
+# build_affinity's M is valid by construction, so the solve skips validation; perfbench/tracing.py times it.
 from .clique_solver import _solve as solve_densest
-from .consistency import _affinity_graph as build_affinity
 from .graff_core import RigidTransform
 # Unused here: kept so perfbench/tracing.py can still count calls under these names.
 from .graff_core import to_hesse, to_pd, transform_line, transform_plane  # noqa: F401
@@ -90,11 +89,9 @@ def associate_scans(
     params: ConsistencyParams = ConsistencyParams(),
     distance_fn: DistanceFn = DistanceFn.GRAFF_SHIFTED,
 ) -> Association:
-    M, edges = build_affinity(scan_i, scan_j, params, distance_fn)
+    M, candidates = build_affinity(scan_i, scan_j, params, distance_fn)
     # Correspondence selection favors purity over raw density; see solve_densest.
-    selection = solve_densest(M, edges, rounding="mass_capped")
-    idx = list(selection.indices)  # Candidates of the selected indices only, by index
-    candidates = dict(zip(idx, map(Candidate, *(x[idx].tolist() for x in _candidate_pairs(scan_i, scan_j)))))
+    selection = solve_densest(M, rounding="mass_capped")
     chosen = tuple((c.a, c.b) for c in unique_matches(candidates, selection.indices, selection.u))
 
     def failed(reason: str) -> Association:

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from graffassoc import (
+    ConsistencyParams,
+    DistanceFn,
     LinePD,
     PairConfig,
     PlaneHesse,
@@ -17,6 +19,7 @@ from graffassoc import (
     Scan,
     SceneConfig,
     alignment_error,
+    build_affinity,
     from_hesse,
     from_pd,
     generate_scene,
@@ -354,6 +357,24 @@ class TestMatchCommand:
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert doc["params"]["sigma"] == 1e-160 and doc["status"] == "failed"
         assert doc["objective"] == 1.0 and len(doc["correspondences"]) == 1
+
+    @pytest.mark.parametrize("rho", [1e-320, 1e-200])
+    def test_tiny_rho_gives_a_finite_affinity(self, loop_fixture, tmp_path, rho):
+        # At rho = 1e-320, distances / rho overflow to inf and two of them
+        # subtract to NaN; at 1e-200 the score's square overflows.  Either
+        # way the pair is gated to 0 and arctan(inf) = pi/2, without a
+        # warning, so M stays finite and the match is written.
+        pair, a, b = loop_fixture
+        out = tmp_path / "m.json"
+        params = ConsistencyParams(rho=rho)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for fn in DistanceFn:
+                M, _ = build_affinity(pair.scan_i, pair.scan_j, params, fn)
+                assert np.isfinite(M).all() and M.min() >= 0.0 and M.max() <= 1.0, fn
+                assert M.tobytes() == M.T.tobytes(), fn
+                args = ["match", str(a), str(b), "--rho", repr(rho), "--distance-fn", fn.value]
+                assert main([*args, "--output", str(out)]) in (0, 2), fn
 
     def test_missing_file_exit_one(self, tmp_path, capsys):
         good = tmp_path / "g.json"

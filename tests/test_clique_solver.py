@@ -565,8 +565,8 @@ def recording_held(monkeypatch):
     held = [None]
     refresh, working_set = clique_solver._refresh, clique_solver._working_set
 
-    def recording_refresh(M, edges, penalty, C, v, S, norms=None):
-        out = refresh(M, edges, penalty, C, v, S, norms)
+    def recording_refresh(M, edges, penalty, C, v, S):
+        out = refresh(M, edges, penalty, C, v, S)
         held[0] = (C, out[3], penalty, out[4])
         return out
 
@@ -794,9 +794,9 @@ class TestPenalizedProducts:
                 assert np.all(np.abs(g - v @ ref) <= 4.0 * size * np.finfo(float).eps * norms)
                 screened += S.size
                 given = rng.permutation(np.setdiff1d(np.arange(m), C))[:40]
-                out = clique_solver._refresh(M, packed(M), penalty, C, v, given, got_norms)
-                assert out[1] is None and out[3] is given and out[4].tobytes() == ref[:, given].tobytes()
-                assert out[0].tobytes() == g.tobytes()
+                out = clique_solver._refresh(M, packed(M), penalty, C, v, given)
+                assert out[3] is given and out[4].tobytes() == ref[:, given].tobytes()
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(out[:3], (g, block, got_norms)))
         assert screened > 0
 
     def test_peak_at_most_0_39_m_by_m_float_arrays(self, instances):
@@ -873,9 +873,8 @@ def full_length_ascend(M, edges, penalty, u, g, norms):
         u = np.zeros(m)
         u[C] = v
         if float(np.linalg.norm(v - ref)) > radius:
-            g, _, _, S, cols, radius = clique_solver._refresh(
-                M, edges, penalty, C, v, clique_solver._screen(g, norms, C), norms
-            )
+            S = clique_solver._screen(g, norms, C)
+            g, block, norms, S, cols, radius = clique_solver._refresh(M, edges, penalty, C, v, S)
             ref = v
         else:
             g[S] = v @ cols
@@ -1049,8 +1048,8 @@ def counted_work(monkeypatch):
     working_set = clique_solver._working_set
     held = [0]  # entries of the held columns Md[C, S]
 
-    def counting_refresh(M, edges, penalty, C, v, S, norms=None):
-        out = refresh(M, edges, penalty, C, v, S, norms)
+    def counting_refresh(M, edges, penalty, C, v, S):
+        out = refresh(M, edges, penalty, C, v, S)
         work["refreshes"] += 1
         work["blocks"] += out[1] is not None
         held[0] = out[4].size
@@ -1094,9 +1093,10 @@ class TestSolverWork:
     # OpenBLAS 0.3.31 on x86-64.  Each part of the screened cache keeps a
     # count down: screening before the pass, by the last norms, the row
     # builds; the norms carried across stages and the read after the pass at
-    # the first build after all of Md the refreshes; a refresh keeping its
-    # stage's block the blocks built; the stage settle the ascent steps (201
-    # and 304 without it).  Removing any of them fails here.  Each step inside
+    # the first build after all of Md the refreshes; the stage settle the
+    # ascent steps (201 and 304 without it).  Removing any of them fails
+    # here.  No step on these pairs leaves its refresh's radius, so the
+    # refreshes are the builds.  Each step inside
     # the radius reads all of Md[C, S] in one product, so the held entries
     # bound the screened set's size.  The settle ends a stage on the exact
     # eigenvector, from which a later stage's first trial can win on rounding
@@ -1129,31 +1129,33 @@ class TestSolverWork:
 
 class TestPackedEdges:
     @pytest.mark.parametrize("rounding", ROUNDING_RULES)
-    def test_given_bits_solve_as_the_public_entry_point(self, rounding):
-        # The pipeline hands the kernel's bits to `_solve`; the public entry
-        # point packs them from the validated M.  Both give the same Selection
+    def test_unvalidated_solve_as_the_public_entry_point(self, rounding):
+        # The pipeline calls `_solve`, which skips validation; the public
+        # entry point validates M first.  Both give the same Selection
         # bitwise on criterion 4's instances.
         instances = [*criterion_4_random(), *criterion_4_planted()]
         assert len(instances) == 300
         for name, M in instances:
-            sel, given = solve_densest(M, rounding=rounding), clique_solver._solve(M, packed(M), rounding)
-            assert given.indices == sel.indices and given.u.tobytes() == sel.u.tobytes(), name
-            assert given.objective == sel.objective, name
+            sel, unvalidated = solve_densest(M, rounding=rounding), clique_solver._solve(M, rounding)
+            assert unvalidated.indices == sel.indices and unvalidated.u.tobytes() == sel.u.tobytes(), name
+            assert unvalidated.objective == sel.objective, name
 
     def test_public_entry_point_packs_the_binarized_graph(self, monkeypatch):
-        # The bits `solve_densest` packs from M are binarize_constraints(M)
-        # packed, padded rows included.
-        given, solve = [], clique_solver._solve
+        # The bits a solve packs from M, once, are binarize_constraints(M)
+        # packed, padded rows included; an empty M packs none.
+        packed_bits, edge_bits = [], clique_solver._edge_bits
 
-        def recording(M, edges, rounding):
-            given.append(edges)
-            return solve(M, edges, rounding)
+        def recording(M):
+            packed_bits.append(edge_bits(M))
+            return packed_bits[-1]
 
-        monkeypatch.setattr(clique_solver, "_solve", recording)
+        monkeypatch.setattr(clique_solver, "_edge_bits", recording)
         for m in (0, 1, 7, 8, 9, 17, 130):
             M = random_gated_matrix(np.random.default_rng(m), m)
+            packed_bits.clear()
             solve_densest(M)
-            assert given[-1].dtype == np.uint8 and given[-1].tobytes() == packed(M).tobytes(), m
+            assert len(packed_bits) == (m > 0), m
+            assert all(b.dtype == np.uint8 and b.tobytes() == packed(M).tobytes() for b in packed_bits), m
 
 
 def fixed_power_init(M):

@@ -786,18 +786,17 @@ def packed_graph(M):
 class TestAffinityGraph:
     @pytest.mark.parametrize("fn", list(DistanceFn))
     def test_edges_equal_binarized_affinity(self, fn):
-        # The edge graph the pipeline hands to the solver is packed from the
-        # kernel's M, one bit per pair, and is bitwise binarize_constraints(M)
-        # packed, also where an ungated weight underflows to 0 (sigma = 1e-3:
-        # exp(-C^2 / 2 sigma^2) is 0 from C of about 0.04, below the gate at 0.2).
+        # The edge graph the solve packs from the kernel's M, one bit per
+        # pair, is bitwise binarize_constraints(M) packed, also where an
+        # ungated weight underflows to 0 (sigma = 1e-3: exp(-C^2 / 2 sigma^2)
+        # is 0 from C of about 0.04, below the gate at 0.2).
         from graffassoc import PairConfig, SceneConfig, generate_scene, make_loop_pair
 
         pair = make_loop_pair(generate_scene(SceneConfig(seed=21)), PairConfig(clutter=4, seed=22))
         counts = []
         for params in (ConsistencyParams(), ConsistencyParams(sigma=1e-3)):
-            M, edges = consistency._affinity_graph(pair.scan_i, pair.scan_j, params, fn)
-            m = M.shape[0]
-            assert M.tobytes() == build_affinity(pair.scan_i, pair.scan_j, params, fn)[0].tobytes()
+            M = build_affinity(pair.scan_i, pair.scan_j, params, fn)[0]
+            m, edges = M.shape[0], clique_solver._edge_bits(M)
             assert edges.dtype == np.uint8 and edges.shape == (m, (m + 7) // 8)
             assert edges.tobytes() == packed_graph(M).tobytes()
             counts.append(int(np.unpackbits(edges).sum()))
@@ -815,13 +814,13 @@ class TestAffinityGraph:
         scan_i = make_scan(rng, sizes[0], sizes[1], centroids=True)
         scan_j = make_scan(rng, sizes[2], sizes[3], centroids=True)
         for fn in DistanceFn:
-            M, edges = consistency._affinity_graph(scan_i, scan_j, ConsistencyParams(epsilon=0.6), fn)
+            M = build_affinity(scan_i, scan_j, ConsistencyParams(epsilon=0.6), fn)[0]
+            edges = clique_solver._edge_bits(M)
             assert M.shape == (m, m) and edges.dtype == np.uint8 and edges.shape == (m, (m + 7) // 8)
             assert edges.tobytes() == packed_graph(M).tobytes()
             assert not np.unpackbits(edges, axis=1, bitorder="little")[:, m:].any()
             for rows in (slice(None), np.arange(m)[::-1], np.arange(m) % 2 == 0):
                 assert np.array_equal(clique_solver._edge_rows(edges, rows, m), binarize_constraints(M)[rows])
-            assert np.array_equal(clique_solver._edge_bits(M), edges)
 
 
 class TestUniqueMatches:

@@ -243,6 +243,33 @@ def test_pipeline_selects_with_mass_capped_rounding(rung, monkeypatch):
     assert assoc.objective == capped.objective
 
 
+def test_associate_scans_skips_validation_and_packs_edges_once(monkeypatch):
+    # build_affinity's M is valid by construction, and validating it again
+    # costs about 12 ms at m = 2220: the pipeline solves past
+    # `_validate_affinity`, and the solve packs its edge graph once.
+    from graffassoc import clique_solver
+
+    calls = {"validate": 0, "pack": 0}
+    validate, pack = clique_solver._validate_affinity, clique_solver._edge_bits
+
+    def counting(key, fn):
+        def counted(M):
+            calls[key] += 1
+            return fn(M)
+
+        return counted
+
+    monkeypatch.setattr(clique_solver, "_validate_affinity", counting("validate", validate))
+    monkeypatch.setattr(clique_solver, "_edge_bits", counting("pack", pack))
+    pair = ladder_pair(2)
+    for fn in DistanceFn:
+        packs = calls["pack"]
+        associate_scans(pair.scan_i, pair.scan_j, distance_fn=fn)
+        assert calls["pack"] == packs + 1, fn
+    assert calls["validate"] == 0
+    solve_densest(build_affinity(pair.scan_i, pair.scan_j, ConsistencyParams())[0])
+    assert calls == {"validate": 1, "pack": 6}  # the public entry point does validate
+
 def run_match(tmp_path, scan_a, scan_b, *extra):
     a, b, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "out.json"
     save_scan(a, scan_a)
