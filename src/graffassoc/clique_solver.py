@@ -14,8 +14,8 @@ spans over a third of the candidates, products come from M and the edge
 graph: no second m x m float array, nor a block over (m/3)^2, exists.  The
 solve packs the edge graph from M as rows of bits (`_edge_bits`), one bit per
 pair, read a few rows at a time through `_edge_rows`.  The penalty loop stops
-as soon as a larger penalty can no longer change u.  An exhaustive oracle is
-provided.
+as soon as a larger penalty can change u by rounding at most.  An exhaustive
+oracle is provided.
 """
 
 from __future__ import annotations
@@ -121,7 +121,8 @@ def _lanczos(A: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, bool]:
     passed, at an invariant subspace (b <= _RITZ_TOL * T[0, 0]) or after min(q.size, _POWER_ITERATIONS)
     products.  The start vector and the settle both run this one schedule."""
     cap = min(q.size, _POWER_ITERATIONS)
-    Q, T = np.empty((cap, q.size)), np.zeros((cap, cap))  # Lanczos vectors as rows; T's lower triangle
+    rows = min(cap, 2 * _RITZ_FIRST)  # doubled on demand: most runs stop by then
+    Q, T = np.empty((rows, q.size)), np.zeros((rows, rows))  # Lanczos vectors as rows; T's lower triangle
     Q[0] = q
     for j in range(cap):
         w = A @ Q[j]
@@ -137,6 +138,9 @@ def _lanczos(A: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, bool]:
             passed = b * abs(s[-1]) <= _RITZ_TOL * theta[-1]
             if last or passed:
                 break
+        if j + 1 == rows:
+            rows = min(cap, 2 * rows)
+            Q, T = np.concatenate((Q, np.empty((rows - j - 1, q.size)))), np.pad(T, (0, rows - j - 1))
         T[j + 1, j] = b
         Q[j + 1] = w / b
     return s @ Q[: j + 1], passed
@@ -169,21 +173,25 @@ class _Penalized:
         return v @ self.M - self.penalty * (v.sum() - on)
 
 
-def _penalized(M: np.ndarray, edges: np.ndarray, penalty: float, rows: np.ndarray, cols=slice(None)) -> np.ndarray:
-    """Md[rows, cols], bitwise as np.where(edges, M, -penalty): M * e + (e - 1) * penalty, e the edge rows as floats."""
-    out, e = M[rows][:, cols], _edge_rows(edges, rows, M.shape[0])[:, cols].astype(float)
+def _penalized(M: np.ndarray, edges: np.ndarray, penalty: float, rows: np.ndarray, cols=None) -> np.ndarray:
+    """Md[rows, cols] (all columns for None, gathered from M without copying whole rows), bitwise as
+    np.where(edges, M, -penalty): M * e + (e - 1) * penalty, e the edge rows as floats."""
+    out = M[rows] if cols is None else M[np.ix_(rows, cols)]
+    e = _edge_rows(edges, rows, M.shape[0])[:, slice(None) if cols is None else cols].astype(float)
     out *= e
     out += np.multiply(np.subtract(e, 1.0, out=e), penalty, out=e)
     return out
 
 
 def _screen(g: np.ndarray, norms, C: np.ndarray):
-    """Columns off C with slack -g_i / |Md[C, i]| below _SCREEN, in index order; None without norms."""
+    """Columns off C with slack -g_i / |Md[C, i]| below _SCREEN, at most |C| of them (the least slack,
+    ties by index), so Md[C, S] never outgrows the block Md[C, C]; in index order; None without norms."""
     if norms is None:
         return None
     slack = -g / norms
     slack[C] = np.inf
-    return np.flatnonzero(slack < _SCREEN)
+    S = np.flatnonzero(slack < _SCREEN)
+    return S if S.size <= C.size else np.sort(S[np.argsort(slack[S], kind="stable")[: C.size]])
 
 
 def _refresh(M: np.ndarray, edges: np.ndarray, penalty: float, C: np.ndarray, v: np.ndarray, S):
@@ -192,8 +200,8 @@ def _refresh(M: np.ndarray, edges: np.ndarray, penalty: float, C: np.ndarray, v:
 
     Returns g = v @ Md[C, :], the block Md[C, C], norms |Md[C, i]|, S (if None, screened by this g and
     read after the pass), Md[C, S] and the radius: g_i(v') <= g_i(v) + |Md[C, i]| |v' - v| stays <= 0
-    off C | S while |v' - v| <= radius (less a margin for the rounding of both products).  It is
-    negative if some g_i off C | S, screened by an older g, is not below 0."""
+    off C | S while |v' - v| <= radius (less a margin for the rounding of both products), columns past
+    `_screen`'s cap included.  It is negative if some g_i off C | S is not below 0."""
     m = M.shape[0]
     g, sq, block = np.zeros(m), np.zeros(m), np.empty((C.size, C.size))
     cols = None if S is None else np.empty((C.size, S.size))
@@ -283,16 +291,17 @@ def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, 
     on all of Md from that step until the settle is tried, so supp(u) shrinks
     steadily instead of swinging across m/3.
     Returns u, g (exact on C | S, else its value at the last refresh, <= 0),
-    moved and this stage's last norms.
+    whether u is a fixed point of the stage (no step was taken, or it ended
+    on a settle at a KKT point) and this stage's last norms.
     """
     m = u.shape[0]
     C, g, block, norms, S, cols, radius = _working_set(M, edges, penalty, u, g, norms)
     uC, gC, gS, ref, f = u[C], g[C], g[S], u[C], None
-    moved = settled = False
+    moved = settled = kkt = False
     held, size = 0, np.count_nonzero(uC)  # held: accepted steps in a row that kept |supp(u)|
     for _ in range(_MAX_ITERATIONS):
         outside = radius < 0.0 or (gS > 0.0).any()  # W leaves C: g > 0 on S, or maybe off C | S (radius < 0)
-        if settled and not outside and not (gC[uC == 0.0] > 0.0).any():  # a KKT point: g <= 0 off P
+        if kkt := settled and not outside and not (gC[uC == 0.0] > 0.0).any():  # a KKT point: g <= 0 off P
             break
         W = np.count_nonzero(np.maximum(uC, gC) > 0.0)
         if outside or (3 * W <= m if norms is None else 2 * W < C.size):  # W fits a block, or under half of C
@@ -341,7 +350,7 @@ def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, 
         u = np.zeros(m)
         u[C] = uC
     g[C], g[S] = gC, gS
-    return u, g, moved, norms
+    return u, g, kkt or not moved, norms
 
 
 def _round_greedy(order: np.ndarray, M: np.ndarray, edges: np.ndarray, cap: int | None) -> list[int]:
@@ -486,13 +495,14 @@ def _solve(M: np.ndarray, rounding: str) -> Selection:
     g = norms = None
     penalty = _INITIAL_PENALTY
     while penalty <= m + 1.0:
-        u, g, moved, norms = _ascend(M, edges, penalty, u, g, norms)
+        u, g, fixed, norms = _ascend(M, edges, penalty, u, g, norms)
         # Exact early exit: with no non-edge inside W = supp(u) | {g > 0}, g on W
-        # is penalty-free and off W only falls, so later stages would repeat
-        # this stage's rejected trials and return u unchanged.
+        # is penalty-free and off W only falls, so from a fixed point u (no step
+        # taken, or the top eigenvector of Md[P, P] with g <= 0 off P = supp(u))
+        # later stages' trials are u again, moved by rounding at most.
         W = np.flatnonzero((u > 0.0) | (g > 0.0))
         blocks = (W[i : i + _BLOCK_ROWS] for i in range(0, W.size, _BLOCK_ROWS))
-        if not moved and all(_edge_rows(edges, r, m)[:, W].all() for r in blocks):
+        if fixed and all(_edge_rows(edges, r, m)[:, W].all() for r in blocks):
             break
         penalty *= _PENALTY_GROWTH
     indices = _round(u, u0, M, edges, rounding)

@@ -145,6 +145,9 @@ class Candidate(NamedTuple):
     b: int  # index into scan j
 
 
+_new_candidate = functools.partial(tuple.__new__, Candidate)  # Candidate((a, b)) without its Python-level __new__
+
+
 @dataclass(frozen=True)
 class ConsistencyParams:
     epsilon: float = 0.2  # gate threshold, radians
@@ -165,7 +168,7 @@ def _candidate_pairs(scan_i: Scan, scan_j: Scan) -> tuple[np.ndarray, np.ndarray
 
 def generate_candidates(scan_i: Scan, scan_j: Scan) -> list[Candidate]:
     """All same-dimension object pairings, in lexicographic (a, b) order."""
-    return list(map(Candidate, *(idx.tolist() for idx in _candidate_pairs(scan_i, scan_j))))
+    return list(map(_new_candidate, zip(*(idx.tolist() for idx in _candidate_pairs(scan_i, scan_j)))))
 
 
 def weight(c: float, params: ConsistencyParams) -> float:
@@ -337,7 +340,7 @@ def build_affinity(
     distance_fn, (a_idx, b_idx) = DistanceFn(distance_fn), _candidate_pairs(scan_i, scan_j)
     if max_candidates is not None and a_idx.size > max_candidates:
         raise ValueError(f"candidate set of size {a_idx.size} exceeds the cap of {max_candidates}")
-    candidates = list(map(Candidate, a_idx.tolist(), b_idx.tolist()))
+    candidates = list(map(_new_candidate, zip(a_idx.tolist(), b_idx.tolist())))
     if not candidates:
         return np.zeros((0, 0)), candidates
     distances = {

@@ -451,6 +451,10 @@ def parity_instances():
             yield f"scan-{seed}-{fn.value}", M
 
 
+# Bound on |u' - u| over the stages the solver skips: 3.7e-16 measured on the
+# parity instances, 2.0e-13 on the seed-1 benchmark affinities.
+SKIPPED_STAGE_DRIFT = 1e-12
+
 # The ascent stops once a step moves u by less than tol = 1e-8, so sums taken
 # over the working set instead of all m entries can end one step apart.
 U_TOLERANCE = 1e-7
@@ -471,7 +475,13 @@ class TestWorkingSetParity:
             assert np.max(np.abs(sel.u - ref.u)) <= U_TOLERANCE, name
 
     def test_solver_stops_at_a_fixed_point(self, instances, monkeypatch):
-        # Every stage the solver skips would return its final u unchanged.
+        # The solver stops after a stage that took no step, or that ended on a
+        # settle at a KKT point (the top eigenvector of Md[P, P], g <= 0 off
+        # P = supp(u)), once W = supp(u) | {g > 0} holds no non-edge.  Every
+        # stage it skips would move u by rounding at most, and round to the
+        # same selection under both rules: a larger penalty leaves Md on W as
+        # it is, so a later stage's trial is u again and can win only on the
+        # last bits of u'(Md)u.
         stages = []
         ascend = clique_solver._ascend
 
@@ -480,17 +490,20 @@ class TestWorkingSetParity:
             return stages[-1][1:]
 
         monkeypatch.setattr(clique_solver, "_ascend", recording)
-        skipped = 0
+        skipped = rounded = 0
         for name, M in instances:
-            stages.clear()
-            solve_densest(M)
+            selected = {rounding: solve_densest(M, rounding=rounding).indices for rounding in ROUNDING_RULES}
             penalty, u, g, _, norms = stages[-1]
-            edges = packed(M)
+            edges, u0, u_next = packed(M), _perron_vector(M), u
+            stages.clear()
             while (penalty := penalty * _PENALTY_GROWTH) <= M.shape[0] + 1.0:
-                u_next, g, moved, norms = ascend(M, edges, penalty, u, g, norms)
-                assert not moved and np.array_equal(u_next, u), name
+                u_next, g, _, norms = ascend(M, edges, penalty, u_next, g, norms)
+                assert np.max(np.abs(u_next - u)) <= SKIPPED_STAGE_DRIFT, name
+                for rounding, indices in selected.items():
+                    assert clique_solver._round(u_next, u0, M, edges, rounding) == indices, (name, rounding)
                 skipped += 1
-        assert skipped >= len(instances)
+            rounded += not np.array_equal(u_next, u)
+        assert skipped >= len(instances) and rounded > 0
 
     def test_early_exit_is_exact(self, instances):
         exited = 0
@@ -719,6 +732,86 @@ class TestCertifiedRefresh:
         assert at_steps[0] == 2 and built[:2] == [[0, 1, 2, 3], [0, 1, 2, 3, 4]]
 
 
+def match_large_sized_affinity():
+    """A scan-pair affinity of the benchmark's match_large size: 14 lines and
+    46 planes a scan, clutter 10, m = 2220."""
+    scene = generate_scene(SceneConfig(n_lines=14, n_planes=46, seed=4))
+    pair = make_loop_pair(scene, PairConfig(baseline_m=8.0, overlap=0.8, clutter=10, seed=5))
+    M, _ = build_affinity(pair.scan_i, pair.scan_j, ConsistencyParams())
+    assert M.shape == (2220, 2220)
+    return M
+
+
+def recording_screens(monkeypatch):
+    """Patch `_screen` so that each call appends (|C|, |S|, the number of columns
+    off C with slack below _SCREEN) to the returned list."""
+    screens, screen = [], clique_solver._screen
+
+    def recording(g, norms, C):
+        S = screen(g, norms, C)
+        if S is not None:
+            slack = -g / norms
+            slack[C] = np.inf
+            screens.append((C.size, S.size, np.count_nonzero(slack < clique_solver._SCREEN)))
+        return S
+
+    monkeypatch.setattr(clique_solver, "_screen", recording)
+    return screens
+
+
+class TestScreenCap:
+    """`_screen` holds at most |C| columns off C, so Md[C, S] never outgrows
+    the block Md[C, C]; the radius is taken over every other column off C."""
+
+    def test_keeps_the_least_slack_columns_ties_by_index(self):
+        rng = np.random.default_rng(23)
+        m, binding = 400, 0
+        for size in (1, 7, 60, 150, 390):
+            C = np.sort(rng.choice(m, size, replace=False))
+            g = np.round(rng.uniform(-1.0, 0.1, m), 2)  # two decimals: many slacks tie
+            norms = np.where(rng.uniform(0.0, 1.0, m) < 0.5, 1.0, 2.0)
+            S = clique_solver._screen(g, norms, C)
+            slack = -g / norms
+            slack[C] = np.inf
+            below = np.flatnonzero(slack < clique_solver._SCREEN)
+            dropped = np.setdiff1d(below, S)
+            assert S.size == min(C.size, below.size) and np.all(np.diff(S) > 0) and np.isin(S, below).all()
+            assert max(zip(slack[S], S), default=(-np.inf, -1)) < min(zip(slack[dropped], dropped), default=(np.inf, m))
+            binding += dropped.size > 0
+        assert binding >= 3
+
+    def test_never_more_than_c_columns_in_a_solve(self, monkeypatch):
+        screens = recording_screens(monkeypatch)
+        for _, M in scene_pair_affinities():
+            solve_densest(M)
+        assert screens and all(held <= size for size, held, _ in screens)
+        assert any(below > size for size, _, below in screens)  # the cap binds
+
+    def test_a_capped_refresh_still_certifies_its_radius(self, monkeypatch):
+        # At m = 2220 more than |C| columns off C have slack below _SCREEN at
+        # some refreshes.  There, anywhere within the radius of the refresh
+        # point v, g stays <= 0 on every column off C | S, those past the cap
+        # included: g_i(v) + radius |Md[C, i]|, from the formed rows, is <= 0.
+        M = match_large_sized_affinity()
+        edges = binarize_constraints(M)
+        screens, refresh, certified = recording_screens(monkeypatch), clique_solver._refresh, []
+
+        def checking(M, packed_edges, penalty, C, v, S):
+            out = refresh(M, packed_edges, penalty, C, v, S)
+            S, radius = out[3], out[5]
+            if screens[-1][2] > C.size and radius >= 0.0:
+                off = np.ones(M.shape[0], dtype=bool)
+                off[C] = off[S] = False
+                rows = np.where(edges[np.ix_(C, off)], M[np.ix_(C, off)], -penalty)
+                worst = v @ rows + radius * np.sqrt(np.einsum("ij,ij->j", rows, rows))
+                certified.append((S.size == C.size, worst.max()))
+            return out
+
+        monkeypatch.setattr(clique_solver, "_refresh", checking)
+        solve_densest(M, rounding="mass_capped")
+        assert certified and all(full and worst <= 0.0 for full, worst in certified), certified
+
+
 def affinity_near_1000():
     """One scan-pair affinity at m = 1002."""
     scene = generate_scene(SceneConfig(n_lines=9, n_planes=30, seed=801))
@@ -799,12 +892,13 @@ class TestPenalizedProducts:
                 assert all(a.tobytes() == b.tobytes() for a, b in zip(out[:3], (g, block, got_norms)))
         assert screened > 0
 
-    def test_peak_at_most_0_39_m_by_m_float_arrays(self, instances):
-        # Above its input, a solve holds at most 0.39 of one m x m float
-        # array's worth of bytes at m = 1002 (0.354 measured, plus 10%).  The
-        # edge graph as an m x m bool array took 0.464 (its own 0.125 of them),
-        # blocks from m/2 0.538, holding whole rows Md[C, :] 0.78 and forming
-        # Md 1.14.
+    def test_peak_at_most_0_35_m_by_m_float_arrays(self, instances):
+        # Above its input, a solve holds at most 0.35 of one m x m float
+        # array's worth of bytes at m = 1002 (0.312 measured, plus 12%).
+        # Holding every screened column, not only the |C| of least slack, took
+        # 0.354, the edge graph as an m x m bool array 0.464 (its own 0.125 of
+        # them), blocks from m/2 0.538, holding whole rows Md[C, :] 0.78 and
+        # forming Md 1.14.
         M = instances[-1][1]
         m = M.shape[0]
         tracemalloc.start()
@@ -815,7 +909,7 @@ class TestPenalizedProducts:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 0.39 * 8 * m * m
+        assert peak <= 0.35 * 8 * m * m
 
 
 # The ascent before it kept u and g on the working set: full-length u and g
@@ -824,7 +918,8 @@ class TestPenalizedProducts:
 # last stage's norms to screen the first build, so both take the same products.
 # It settles as the solver does: when a third accepted step in a row keeps the
 # support's size, with a block held or all of Md, it tries the solver's
-# `_settle`, and a settled step ends the stage where no g > 0 lies off supp(u).
+# `_settle`, and a settled step ends the stage where no g > 0 lies off supp(u),
+# at a fixed point.
 # Inside the radius of the last refresh, each step reads all of the held
 # columns Md[C, S].  On all of Md, it builds a block once |W| <= m/3, and
 # starts each line search from the last accepted step until the settle at
@@ -881,10 +976,10 @@ def full_length_ascend(M, edges, penalty, u, g, norms):
         g[C] = gv
         f = fv
         if settled and not (g[u == 0.0] > 0.0).any():
-            break
+            return u, g, True, norms
         if float(np.linalg.norm(v - uC)) < _TOL:
             break
-    return u, g, moved, norms
+    return u, g, not moved, norms
 
 
 class TestWorkingSetArrays:
@@ -905,7 +1000,7 @@ class TestWorkingSetArrays:
             count = len(stages)
             solve_densest(M)
             assert all(stages[count:]), name
-        assert len(stages) > 300
+        assert len(stages) > 250  # 268 stages; 345 before the exit after a settled stage
 
 
 def recording_settles(monkeypatch):
@@ -1098,11 +1193,13 @@ class TestSolverWork:
     # here.  No step on these pairs leaves its refresh's radius, so the
     # refreshes are the builds.  Each step inside
     # the radius reads all of Md[C, S] in one product, so the held entries
-    # bound the screened set's size.  The settle ends a stage on the exact
-    # eigenvector, from which a later stage's first trial can win on rounding
-    # alone (moving u by 1e-16 to 4e-12): that adds one or two trailing
-    # stages, each one refresh, block and row build or two (without the
-    # settle: 18, 17 and 74 on scene-m548, 15, 15 and 55 on scene-m896).
+    # bound the screened set's size; capping S at |C| columns holds 336k and
+    # 781k of them, against 572k and 1544k uncapped.  The settle ends a stage
+    # on the exact eigenvector, and the solve stops right after such a stage
+    # once W holds no non-edge: waiting for a stage that moves nothing took
+    # one more refresh, block and two row builds on each pair, for a stage
+    # whose first trial won on rounding alone (without the settle: 18, 17
+    # and 74 on scene-m548, 15, 15 and 55 on scene-m896).
     # Stage 0 starts on all of Md, builds its first block once |W| <= m/3 and
     # does not double its steps before that: against blocks from m/2 and
     # doubling, two more wide products on scene-m548 (supp(u) 259, then 95,
@@ -1112,10 +1209,10 @@ class TestSolverWork:
     # held entries.
     RECORDED = {
         "scene-m548": dict(
-            refreshes=15, blocks=15, row_builds=42, wide_products=4, held_entries=573055, ascent_steps=80, settles=13
+            refreshes=14, blocks=14, row_builds=40, wide_products=4, held_entries=336222, ascent_steps=80, settles=13
         ),
         "scene-m896": dict(
-            refreshes=15, blocks=15, row_builds=64, wide_products=4, held_entries=1545671, ascent_steps=79, settles=13
+            refreshes=14, blocks=14, row_builds=62, wide_products=4, held_entries=780620, ascent_steps=79, settles=13
         ),
     }
 
