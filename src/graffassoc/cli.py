@@ -86,8 +86,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_infinite(**params: float) -> None:
+    """ValueError on an infinite parameter, which the library takes but standard JSON cannot echo."""
+    for name, value in params.items():
+        if math.isinf(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def _cmd_match(args) -> int:
     try:
+        _refuse_infinite(rho=args.rho, epsilon=args.epsilon, sigma=args.sigma)
         scan_a = load_scan(args.scan_a)
         scan_b = load_scan(args.scan_b)
         params = ConsistencyParams(epsilon=args.epsilon, sigma=args.sigma, rho=args.rho)
@@ -195,6 +203,7 @@ def parse_campaign_config(path) -> CampaignConfig:
         except ValueError:
             raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from None
     try:
+        _refuse_infinite(**{key: values[key] for key in ("rho", "epsilon", "sigma") if key in values})
         return CampaignConfig(**values)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

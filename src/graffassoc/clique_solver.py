@@ -41,7 +41,6 @@ _RITZ_FIRST = 12  # first Lanczos step that checks its Ritz pair; scan affinitie
 _MAX_ITERATIONS = 150  # gradient steps per penalty stage
 _SETTLE_HELD = 3  # accepted steps in a row on one support size before a settle
 _SETTLE_DIRECT = 40  # supports up to this size settle by eigh, larger ones by Lanczos
-_TOL = 1e-8  # convergence threshold on iterate change
 _INITIAL_PENALTY = 0.25
 _PENALTY_GROWTH = 1.6
 _BLOCK_ROWS = 64  # validation tiles and penalized products keep temporaries O(_BLOCK_ROWS x m), not m x m
@@ -277,11 +276,11 @@ def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, 
     """Projected gradient ascent of u'(Md)u on the nonnegative unit sphere.
 
     Trials max(u + s*g, 0) lie inside W = supp(u) | {g > 0}: they are scored on
-    a block Md[C, C], C a superset of W rebuilt when W leaves C or falls below
-    half of it, or on all of Md until |W| <= m/3.  Off C, every step reads g
-    from Md[C, S] on the screened columns S, and g is certified <= 0 elsewhere
-    until v leaves the radius of the last global refresh; a refresh then runs
-    at v and rebuilds the block and the norms, the old cache released first.
+    a block Md[C, C], C a superset of W rebuilt when W leaves C, or on all of
+    Md until |W| <= m/3.  Off C, every step reads g from Md[C, S] on the
+    screened columns S, and g is certified <= 0 elsewhere until v leaves the
+    radius of the last global refresh; a refresh then runs at v and rebuilds
+    the block and the norms, the old cache released first.
     `g` is the last stage's gradient at u, or None; a larger penalty only
     lowers it, so it bounds W.  `norms`, the last stage's last column norms
     (None after all of Md), let the first build screen before its pass.  Once
@@ -289,7 +288,8 @@ def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, 
     unless it lowers u'(Md)u, is the step, and ends the stage if g <= 0 off
     its support.  Line searches start from twice the last accepted step, but
     on all of Md from that step until the settle is tried, so supp(u) shrinks
-    steadily instead of swinging across m/3.
+    steadily instead of swinging across m/3.  Otherwise a stage ends when a
+    line search finds no ascent or after _MAX_ITERATIONS steps.
     Returns u, g (exact on C | S, else its value at the last refresh, <= 0),
     whether u is a fixed point of the stage (no step was taken, or it ended
     on a settle at a KKT point) and this stage's last norms.
@@ -303,8 +303,7 @@ def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, 
         outside = radius < 0.0 or (gS > 0.0).any()  # W leaves C: g > 0 on S, or maybe off C | S (radius < 0)
         if kkt := settled and not outside and not (gC[uC == 0.0] > 0.0).any():  # a KKT point: g <= 0 off P
             break
-        W = np.count_nonzero(np.maximum(uC, gC) > 0.0)
-        if outside or (3 * W <= m if norms is None else 2 * W < C.size):  # W fits a block, or under half of C
+        if outside or (norms is None and 3 * np.count_nonzero(np.maximum(uC, gC) > 0.0) <= m):  # or W fits a block
             if moved:  # before the first step u is the caller's array
                 u = np.zeros(m)
                 u[C] = uC
@@ -335,7 +334,7 @@ def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, 
             else:
                 break
             alpha = step * 2.0 if norms is not None or held > _SETTLE_HELD else step
-        moved, n, d = True, np.count_nonzero(v), v - uC
+        moved, n = True, np.count_nonzero(v)
         if _lapsed(v, ref, radius):
             g[S] = gS
             block = cols = None  # release the old cache before building the next
@@ -344,8 +343,6 @@ def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, 
         else:
             gS = v @ cols
         uC, gC, f, held, size = v, gv, fv, held + 1 if n == size else 0, n
-        if math.sqrt(d @ d) < _TOL:
-            break
     if moved:
         u = np.zeros(m)
         u[C] = uC

@@ -1,13 +1,17 @@
+import dataclasses
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graffassoc import (
     ConsistencyParams,
@@ -31,7 +35,8 @@ from graffassoc import (
     transform_line,
     transform_plane,
 )
-from graffassoc.cli import CSV_COLUMNS, main, parse_campaign_config
+from graffassoc.cli import CSV_COLUMNS, _summary_doc, main, parse_campaign_config
+from graffassoc.scene_sim import TIER_TABLE, CampaignConfig, TrialRecord, TrialResult
 from graffassoc.scan_io import ScanFormatError
 
 
@@ -335,6 +340,18 @@ class TestMatchCommand:
         assert flag[2:] in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--epsilon", "--sigma", "--rho"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "1e400"])
+    def test_infinite_parameter_exit_one(self, loop_fixture, tmp_path, capsys, flag, value):
+        # The library takes an infinite epsilon or rho, but the document would
+        # echo it as Infinity, which strict JSON parsers reject.
+        _, a, b = loop_fixture
+        out = tmp_path / "m.json"
+        assert main(["match", str(a), str(b), f"{flag}={value}", "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {flag[2:]} must be finite, got {float(value)!r}\n"
+        assert not out.exists()
+
     def test_underflowing_sigma_exit_one(self, loop_fixture, tmp_path, capsys):
         _, a, b = loop_fixture
         out = tmp_path / "m.json"
@@ -538,12 +555,15 @@ class TestBenchCommand:
             ("rho", "-1", "epsilon, sigma and rho must all be positive"),
             ("sigma", "1e-170", "sigma must square to a positive float, got 1e-170"),
             ("noise_dir_deg", "nan", "noise levels must be nonnegative and finite"),
+            ("rho", "inf", "rho must be finite, got inf"),
+            ("epsilon", "inf", "epsilon must be finite, got inf"),
+            ("sigma", "1e400", "sigma must be finite, got inf"),
             ("tiers", "", "tiers must name at least one value"),
             ("distance_fns", "", "distance_fns must name at least one value"),
         ],
         ids=[
             "clutter", "overlap_hard", "n_lines", "noise_disp_m", "rho", "sigma", "noise_dir_deg",
-            "no_tiers", "no_distance_fns",
+            "infinite_rho", "infinite_epsilon", "infinite_sigma", "no_tiers", "no_distance_fns",
         ],
     )
     def test_bad_config_value_fails_before_any_trial(self, tmp_path, capsys, key, value, message):
@@ -572,6 +592,44 @@ class TestBenchCommand:
         blocked = tmp_path / "file"
         blocked.write_text("x")
         assert main(["bench", str(cfg), "--out", str(blocked / "sub")]) == 1
+
+
+def _campaign_value(default):
+    """Text for a campaign value of `default`'s type: mostly plausible, with infinities, NaN and junk."""
+    if isinstance(default, tuple):
+        names = [*TIER_TABLE, *(fn.value for fn in DistanceFn), "bogus"]
+        return st.lists(st.sampled_from(names), max_size=3).map(",".join)
+    if isinstance(default, int):
+        return st.integers(-2, 60).map(str)
+    special = st.sampled_from(["inf", "-inf", "1e400", "nan", "Infinity", "0", "1e-170"])
+    return st.one_of(st.floats(0.0, 1.0).map(repr), st.floats().map(repr), special)
+
+
+_CAMPAIGN_DEFAULTS = {field.name: field.default for field in dataclasses.fields(CampaignConfig)}
+_CAMPAIGN_LINES = st.one_of(
+    *(_campaign_value(value).map(lambda text, key=key: f"{key} = {text}") for key, value in _CAMPAIGN_DEFAULTS.items()),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+)
+
+
+class TestCampaignFileProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_CAMPAIGN_LINES, max_size=8))
+    def test_a_campaign_file_is_refused_or_echoed_as_standard_json(self, lines):
+        # Every file either fails to parse with a ValueError or gives a config
+        # whose summary document, config echo included, is standard JSON.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.txt"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            try:
+                cfg = parse_campaign_config(path)
+            except ValueError:
+                return
+        failed = TrialResult(0, (), 0, 0.0, 0.0, 0.0, False, True, None, 0.0)
+        records = [TrialRecord("0.0.0", tier, fn, 0, failed) for tier in cfg.tiers for fn in cfg.distance_fns]
+        config = json.loads(json.dumps(_summary_doc(cfg, records), allow_nan=False))["config"]
+        echoed = {key: getattr(cfg, key) for key in _CAMPAIGN_DEFAULTS}
+        assert config == echoed | {"tiers": list(cfg.tiers), "distance_fns": [fn.value for fn in cfg.distance_fns]}
 
 
 class TestUsage:
