@@ -9,13 +9,14 @@ climbs from all its start sets at once, by steepest ascent on running sums,
 and ranks tied candidates by u, never by label.  Each ascent step works on
 a working set C of supp(u) | {gradient > 0}, holding the penalized matrix on
 C's block and only on the columns off C that a Lipschitz certificate, set by
-one blockwise pass over C's rows, cannot yet put at gradient <= 0; while C
-spans over a third of the candidates, products come from M and the edge
-graph: no second m x m float array, nor a block over (m/3)^2, exists.  The
-solve packs the edge graph from M as rows of bits (`_edge_bits`), one bit per
-pair, read a few rows at a time through `_edge_rows`.  The penalty loop stops
-as soon as a larger penalty can change u by rounding at most.  An exhaustive
-oracle is provided.
+one blockwise pass over C's rows, cannot yet put at gradient <= 0; a step
+past its radius rebuilds C as a gradient > 0 off C does.  While C spans
+over a third of the candidates, products come from M and the edge graph: no
+second m x m float array, nor a block over (m/3)^2, exists.  The solve packs
+the edge graph from M as rows of bits (`_edge_bits`), one bit per pair, read
+a few rows at a time through `_edge_rows`.  The penalty loop stops as soon
+as a larger penalty can change u by rounding at most.  An exhaustive oracle
+is provided.
 """
 
 from __future__ import annotations
@@ -276,31 +277,31 @@ def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, 
     """Projected gradient ascent of u'(Md)u on the nonnegative unit sphere.
 
     Trials max(u + s*g, 0) lie inside W = supp(u) | {g > 0}: they are scored on
-    a block Md[C, C], C a superset of W rebuilt when W leaves C, or on all of
-    Md until |W| <= m/3.  Off C, every step reads g from Md[C, S] on the
-    screened columns S, and g is certified <= 0 elsewhere until v leaves the
-    radius of the last global refresh; a refresh then runs at v and rebuilds
-    the block and the norms, the old cache released first.
-    `g` is the last stage's gradient at u, or None; a larger penalty only
-    lowers it, so it bounds W.  `norms`, the last stage's last column norms
-    (None after all of Md), let the first build screen before its pass.  Once
-    three steps in a row keep |supp(u)|, u settles: `_settle`'s eigenvector,
-    unless it lowers u'(Md)u, is the step, and ends the stage if g <= 0 off
-    its support.  Line searches start from twice the last accepted step, but
-    on all of Md from that step until the settle is tried, so supp(u) shrinks
-    steadily instead of swinging across m/3.  Otherwise a stage ends when a
-    line search finds no ascent or after _MAX_ITERATIONS steps.
-    Returns u, g (exact on C | S, else its value at the last refresh, <= 0),
-    whether u is a fixed point of the stage (no step was taken, or it ended
-    on a settle at a KKT point) and this stage's last norms.
+    a block Md[C, C], C a superset of W, or on all of Md until |W| <= m/3.
+    Off C, each step reads g from Md[C, S] on the screened columns S; g is
+    certified <= 0 elsewhere until v leaves the last refresh's radius.  Only
+    `_working_set` builds the cache, the old one released first: when W
+    leaves C (g > 0 on S, or v left the radius) or a wide stage's W fits a
+    block.  `g` is the last stage's gradient at u, or None; a larger penalty
+    only lowers it, so it bounds W.  `norms`, the last stage's last column
+    norms (None after all of Md), let the first build screen before its pass.
+    Once three steps in a row keep |supp(u)|, u settles: `_settle`'s
+    eigenvector, unless it lowers u'(Md)u, is the step, and ends the stage if
+    g <= 0 off its support and v is inside the radius.  Line searches start
+    from twice the last accepted step, but on all of Md from that step until
+    the settle is tried, so supp(u) shrinks steadily instead of swinging
+    across m/3.  Otherwise a stage ends when a line search finds no ascent or
+    after _MAX_ITERATIONS steps.  Returns u, g (exact on C | S, else its value
+    at the last refresh), whether u is a fixed point of the stage (no step
+    was taken, or it ended on a settle at a KKT point) and its last norms.
     """
     m = u.shape[0]
     C, g, block, norms, S, cols, radius = _working_set(M, edges, penalty, u, g, norms)
     uC, gC, gS, ref, f = u[C], g[C], g[S], u[C], None
-    moved = settled = kkt = False
+    moved = settled = kkt = lapsed = False
     held, size = 0, np.count_nonzero(uC)  # held: accepted steps in a row that kept |supp(u)|
     for _ in range(_MAX_ITERATIONS):
-        outside = radius < 0.0 or (gS > 0.0).any()  # W leaves C: g > 0 on S, or maybe off C | S (radius < 0)
+        outside = lapsed or radius < 0.0 or (gS > 0.0).any()  # W leaves C: g > 0 on S, or off C | S uncertified
         if kkt := settled and not outside and not (gC[uC == 0.0] > 0.0).any():  # a KKT point: g <= 0 off P
             break
         if outside or (norms is None and 3 * np.count_nonzero(np.maximum(uC, gC) > 0.0) <= m):  # or W fits a block
@@ -335,13 +336,7 @@ def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, 
                 break
             alpha = step * 2.0 if norms is not None or held > _SETTLE_HELD else step
         moved, n = True, np.count_nonzero(v)
-        if _lapsed(v, ref, radius):
-            g[S] = gS
-            block = cols = None  # release the old cache before building the next
-            g, block, norms, S, cols, radius = _refresh(M, edges, penalty, C, v, _screen(g, norms, C))
-            ref, gS = v, g[S]
-        else:
-            gS = v @ cols
+        lapsed, gS = _lapsed(v, ref, radius), v @ cols
         uC, gC, f, held, size = v, gv, fv, held + 1 if n == size else 0, n
     if moved:
         u = np.zeros(m)

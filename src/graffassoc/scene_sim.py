@@ -369,9 +369,12 @@ class CampaignConfig:
             if tier not in TIER_TABLE:
                 raise ValueError(f"unknown tier {tier!r}; expected one of {sorted(TIER_TABLE)}")
         object.__setattr__(self, "distance_fns", tuple(DistanceFn(f) for f in self.distance_fns))
-        for axis in ("tiers", "distance_fns"):  # an empty axis would run no trial
-            if not getattr(self, axis):
+        for axis in ("tiers", "distance_fns"):  # an empty axis would run no trial, a repeated value its trials twice
+            values = [getattr(v, "value", v) for v in getattr(self, axis)]
+            if not values:
                 raise ValueError(f"{axis} must name at least one value")
+            if repeated := [v for i, v in enumerate(values) if v in values[:i]]:
+                raise ValueError(f"{axis} must not repeat a value: {repeated[0]!r}")
         # Built once, here, so that a bad value fails before any trial runs;
         # each trial only sets the seeds.
         object.__setattr__(self, "_params", ConsistencyParams(epsilon=self.epsilon, sigma=self.sigma, rho=self.rho))

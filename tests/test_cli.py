@@ -560,10 +560,13 @@ class TestBenchCommand:
             ("sigma", "1e400", "sigma must be finite, got inf"),
             ("tiers", "", "tiers must name at least one value"),
             ("distance_fns", "", "distance_fns must name at least one value"),
+            ("tiers", "easy, hard, easy", "tiers must not repeat a value: 'easy'"),
+            ("distance_fns", "graff_shifted, gr_only, graff_shifted", "distance_fns must not repeat a value: 'graff_shifted'"),
         ],
         ids=[
             "clutter", "overlap_hard", "n_lines", "noise_disp_m", "rho", "sigma", "noise_dir_deg",
             "infinite_rho", "infinite_epsilon", "infinite_sigma", "no_tiers", "no_distance_fns",
+            "repeated_tier", "repeated_distance_fn",
         ],
     )
     def test_bad_config_value_fails_before_any_trial(self, tmp_path, capsys, key, value, message):

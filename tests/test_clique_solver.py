@@ -581,21 +581,16 @@ def scene_pair_affinities():
 
 
 def recording_held(monkeypatch):
-    """Patch the solver so that held[0] is (C, S, penalty, Md[C, S]) of its current cache."""
+    """Patch the solver so that held[0] is (C, S, penalty, Md[C, S]) of its current cache,
+    which only `_working_set` builds."""
     held = [None]
-    refresh, working_set = clique_solver._refresh, clique_solver._working_set
-
-    def recording_refresh(M, edges, penalty, C, v, S):
-        out = refresh(M, edges, penalty, C, v, S)
-        held[0] = (C, out[3], penalty, out[4])
-        return out
+    working_set = clique_solver._working_set
 
     def recording_working_set(M, edges, penalty, u, g, norms):
         out = working_set(M, edges, penalty, u, g, norms)
         held[0] = (out[0], out[4], penalty, out[5])
         return out
 
-    monkeypatch.setattr(clique_solver, "_refresh", recording_refresh)
     monkeypatch.setattr(clique_solver, "_working_set", recording_working_set)
     return held
 
@@ -708,6 +703,45 @@ class TestCertifiedRefresh:
             edges = binarize_constraints(M)
             solve_densest(M)
         assert sum(decisions) >= 0.8 * len(decisions) > 1000
+
+    def test_a_step_past_the_radius_rebuilds_through_the_working_set(self, instances, monkeypatch):
+        # A step that leaves the radius of the last refresh counts as W leaving
+        # C: the next step runs on a cache that `_working_set` built at that
+        # step's iterate, C recomputed there.
+        events, lapsed_in = [], []
+        working_set, lapsed = clique_solver._working_set, clique_solver._lapsed
+
+        def recording_working_set(M, edges, penalty, u, g, norms):
+            out = working_set(M, edges, penalty, u, g, norms)
+            events.append(("build", u.copy(), out[0]))
+            return out
+
+        def recording_lapsed(v, ref, radius):
+            out = lapsed(v, ref, radius)
+            events.append(("step", v.copy(), ref.copy(), out))
+            return out
+
+        monkeypatch.setattr(clique_solver, "_working_set", recording_working_set)
+        monkeypatch.setattr(clique_solver, "_lapsed", recording_lapsed)
+        for name, M in instances:
+            events.clear()
+            solve_densest(M)
+            for i, event in enumerate(events):
+                if event[0] == "build":
+                    C = event[2]
+                    continue
+                if not event[3]:
+                    continue
+                lapsed_in.append(name)
+                if i + 1 == len(events):  # the solve's last step
+                    continue
+                u = np.zeros(M.shape[0])
+                u[C] = event[1]
+                kind, built, C_next = events[i + 1]
+                assert kind == "build" and np.array_equal(built, u), name
+                if i + 2 < len(events) and events[i + 2][0] == "step":
+                    assert np.array_equal(events[i + 2][2], built[C_next]), name
+        assert len(set(lapsed_in)) >= 5, lapsed_in  # 20 steps in 11 of the 46 instances
 
     def test_column_hidden_by_a_stale_screen_rebuilds_before_a_step(self, monkeypatch):
         # A build screens S by the gradient it is handed; a column that gradient
@@ -927,21 +961,22 @@ class TestPenalizedProducts:
 # support's size, with a block held or all of Md, it tries the solver's
 # `_settle`, and a settled step ends the stage where no g > 0 lies off supp(u),
 # at a fixed point.
-# Inside the radius of the last refresh, each step reads all of the held
-# columns Md[C, S].  On all of Md, it builds a block once |W| <= m/3, and
-# starts each line search from the last accepted step until the settle at
-# the support's size has been tried, from twice it after that.  A block is
-# rebuilt only when W leaves C, and a stage ends only at a KKT settle, a
-# failed line search or the step cap.
+# Each step reads all of the held columns Md[C, S].  On all of Md, it builds
+# a block once |W| <= m/3, and starts each line search from the last accepted
+# step until the settle at the support's size has been tried, from twice it
+# after that.  The cache is rebuilt, through `_working_set` alone, only when
+# W leaves C or the step before left the radius of the last refresh; a stage
+# ends only at a KKT settle inside that radius, a failed line search or the
+# step cap.
 def full_length_ascend(M, edges, penalty, u, g, norms):
     m = u.shape[0]
     C, g, block, norms, S, cols, radius = clique_solver._working_set(M, edges, penalty, u, g, norms)
     ref, f = u[C], None
-    moved, held, size = False, 0, int(np.count_nonzero(u))
+    moved, lapsed, held, size = False, False, 0, int(np.count_nonzero(u))
     for _ in range(_MAX_ITERATIONS):
         W = np.flatnonzero((u > 0.0) | (g > 0.0))
         narrow = norms is None and 3 * W.size <= m
-        if narrow or not (np.take(C, np.searchsorted(C, W), mode="clip") == W).all():
+        if lapsed or narrow or not (np.take(C, np.searchsorted(C, W), mode="clip") == W).all():
             block = cols = None
             C, g, block, norms, S, cols, radius = clique_solver._working_set(M, edges, penalty, u, g, norms)
             ref = u[C]
@@ -976,15 +1011,11 @@ def full_length_ascend(M, edges, penalty, u, g, norms):
         held, size = (held + 1 if n == size else 0), n
         u = np.zeros(m)
         u[C] = v
-        if float(np.linalg.norm(v - ref)) > radius:
-            S = clique_solver._screen(g, norms, C)
-            g, block, norms, S, cols, radius = clique_solver._refresh(M, edges, penalty, C, v, S)
-            ref = v
-        else:
-            g[S] = v @ cols
+        lapsed = float(np.linalg.norm(v - ref)) > radius
+        g[S] = v @ cols
         g[C] = gv
         f = fv
-        if settled and not (g[u == 0.0] > 0.0).any():
+        if settled and not lapsed and not (g[u == 0.0] > 0.0).any():
             return u, g, True, norms
     return u, g, not moved, norms
 
@@ -1184,8 +1215,8 @@ def counted_work(monkeypatch):
     """Patch the solver to count its work into the returned dict: global
     refreshes, blocks Md[C, C] built, `_penalized` row builds, products with
     all of Md, held-column entries read (|C| |S|, filled at a refresh and
-    read at each step inside its radius), accepted ascent steps (settled
-    ones included) and settle attempts."""
+    read at each step), accepted ascent steps (settled ones included) and
+    settle attempts."""
     keys = ("refreshes", "blocks", "row_builds", "wide_products", "held_entries", "ascent_steps", "settles")
     work = dict.fromkeys(keys, 0)
     refresh, penalized, lapsed = clique_solver._refresh, clique_solver._penalized, clique_solver._lapsed
@@ -1215,10 +1246,9 @@ def counted_work(monkeypatch):
         return product(self, v)
 
     def counting_lapsed(v, ref, radius):  # called once per accepted step
-        out = lapsed(v, ref, radius)
-        work["held_entries"] += 0 if out else held[0]
+        work["held_entries"] += held[0]
         work["ascent_steps"] += 1
-        return out
+        return lapsed(v, ref, radius)
 
     def counting_settle(block, uC):
         work["settles"] += 1
@@ -1240,9 +1270,9 @@ class TestSolverWork:
     # builds; the norms carried across stages and the read after the pass at
     # the first build after all of Md the refreshes; the stage settle the
     # ascent steps (201 and 304 without it).  Removing any of them fails
-    # here.  No step on these pairs leaves its refresh's radius, so the
-    # refreshes are the builds.  Each step inside
-    # the radius reads all of Md[C, S] in one product, so the held entries
+    # here.  Every refresh is a build, and no step on these pairs leaves its
+    # refresh's radius.  Each step reads all of Md[C, S] in one product, so
+    # the held entries
     # bound the screened set's size; capping S at |C| columns holds 336k and
     # 781k of them, against 572k and 1544k uncapped.  The settle ends a stage
     # on the exact eigenvector, and the solve stops right after such a stage

@@ -268,6 +268,10 @@ class TestCampaign:
             CampaignConfig(tiers=())
         with pytest.raises(ValueError, match="distance_fns must name at least one value"):
             CampaignConfig(distance_fns=())
+        with pytest.raises(ValueError, match="^tiers must not repeat a value: 'easy'$"):
+            CampaignConfig(tiers=("easy", "easy"))
+        with pytest.raises(ValueError, match="^distance_fns must not repeat a value: 'graff_shifted'$"):
+            CampaignConfig(distance_fns=(DistanceFn.GRAFF_SHIFTED, "graff_shifted"))  # equal once converted
         assert CampaignConfig(tiers=iter(["easy"])).tiers == ("easy",)  # checked once stored
         with pytest.raises(ValueError, match=r"overlap must lie in \[0, 1\]"):
             CampaignConfig(tiers=("easy",), overlap_hard=1.5)  # checked though hard is not run
