@@ -14,9 +14,9 @@ past its radius rebuilds C as a gradient > 0 off C does.  While C spans
 over a third of the candidates, products come from M and the edge graph: no
 second m x m float array, nor a block over (m/3)^2, exists.  The solve packs
 the edge graph from M as rows of bits (`_edge_bits`), one bit per pair, read
-a few rows at a time through `_edge_rows`.  The penalty loop stops as soon
-as a larger penalty can change u by rounding at most.  An exhaustive oracle
-is provided.
+a few rows at a time through `_edge_rows`.  The penalty starts at theta/32,
+theta the start vector's Ritz value, and stops growing as soon as a larger
+one can change u by rounding at most.  An exhaustive oracle is provided.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ _RITZ_FIRST = 12  # first Lanczos step that checks its Ritz pair; scan affinitie
 _MAX_ITERATIONS = 150  # gradient steps per penalty stage
 _SETTLE_HELD = 3  # accepted steps in a row on one support size before a settle
 _SETTLE_DIRECT = 40  # supports up to this size settle by eigh, larger ones by Lanczos
-_INITIAL_PENALTY = 0.25
+_INITIAL_PENALTY = 1 / 32  # the first penalty over theta, the Ritz value of the start vector's Lanczos run
 _PENALTY_GROWTH = 1.6
 _BLOCK_ROWS = 64  # validation tiles and penalized products keep temporaries O(_BLOCK_ROWS x m), not m x m
 _PASS_ROWS = 32  # global refreshes: a block of rows and its float edge mask fit a 2 MiB L2 cache at m ~ 2200
@@ -114,8 +114,8 @@ def _binary_density(M: np.ndarray, indices) -> float:
     return float(M[idx[:, None], idx].sum() / idx.size)
 
 
-def _lanczos(A: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Top Ritz vector of A by Lanczos from the unit vector q, each new vector orthogonalized
+def _lanczos(A: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """Top Ritz vector and value of A by Lanczos from the unit vector q, each new vector orthogonalized
     twice against all earlier ones, and whether it passed: its residual |Ax - theta x| =
     b |s_last| is at most _RITZ_TOL * theta, checked at every step from _RITZ_FIRST on.  Stops once
     passed, at an invariant subspace (b <= _RITZ_TOL * T[0, 0]) or after min(q.size, _POWER_ITERATIONS)
@@ -143,19 +143,19 @@ def _lanczos(A: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, bool]:
             Q, T = np.concatenate((Q, np.empty((rows - j - 1, q.size)))), np.pad(T, (0, rows - j - 1))
         T[j + 1, j] = b
         Q[j + 1] = w / b
-    return s @ Q[: j + 1], passed
+    return s @ Q[: j + 1], float(theta[-1]), passed
 
 
-def _perron_vector(M: np.ndarray) -> np.ndarray:
-    """The nonnegative unit Perron vector of M: `_lanczos` from the uniform vector.  From there
-    the power method drains at |lambda_min| / lambda_1 (about 0.6 on scan affinities), and
-    Lanczos at lambda_2 / lambda_1 (about 0.4) and better, in about half the products."""
+def _perron_vector(M: np.ndarray) -> tuple[np.ndarray, float]:
+    """M's nonnegative unit Perron vector, `_lanczos` from the uniform vector, and its Ritz value theta >= 1
+    (diag M = 1, M >= 0).  From there the power method drains at |lambda_min| / lambda_1 (about 0.6 on
+    scan affinities), and Lanczos at lambda_2 / lambda_1 (about 0.4) and better, in about half the products."""
     m = M.shape[0]
-    u = _lanczos(M, np.full(m, 1.0 / math.sqrt(m)))[0]
+    u, theta, _ = _lanczos(M, np.full(m, 1.0 / math.sqrt(m)))
     if u.sum() < 0.0:
         u = -u
     np.maximum(u, 0.0, out=u)
-    return u / math.sqrt(u @ u)
+    return u / math.sqrt(u @ u), theta
 
 
 class _Penalized:
@@ -260,11 +260,11 @@ def _settle(block, uC: np.ndarray):
     never gathered.  A unit vector over C, or None unless it is positive on P (and Lanczos passed)."""
     P = np.flatnonzero(uC)
     if isinstance(block, _Penalized):
-        w, passed = _lanczos(_Restricted(block, P), uC[P])
+        w, _, passed = _lanczos(_Restricted(block, P), uC[P])
     elif P.size <= _SETTLE_DIRECT:
         w, passed = np.linalg.eigh(block[np.ix_(P, P)])[1][:, -1], True
     else:
-        w, passed = _lanczos(block[np.ix_(P, P)], uC[P])
+        w, _, passed = _lanczos(block[np.ix_(P, P)], uC[P])
     w = -w if w.sum() < 0.0 else w
     if not passed or w.min() <= 0.0:
         return None
@@ -287,13 +287,15 @@ def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, 
     norms (None after all of Md), let the first build screen before its pass.
     Once three steps in a row keep |supp(u)|, u settles: `_settle`'s
     eigenvector, unless it lowers u'(Md)u, is the step, and ends the stage if
-    g <= 0 off its support and v is inside the radius.  Line searches start
-    from twice the last accepted step, but on all of Md from that step until
-    the settle is tried, so supp(u) shrinks steadily instead of swinging
-    across m/3.  Otherwise a stage ends when a line search finds no ascent or
-    after _MAX_ITERATIONS steps.  Returns u, g (exact on C | S, else its value
-    at the last refresh), whether u is a fixed point of the stage (no step
-    was taken, or it ended on a settle at a KKT point) and its last norms.
+    g <= 0 off its support, on the held cache if v is inside its radius and W
+    in C, else on the cache rebuilt at v, before any line search.  Line
+    searches start from twice the last accepted step, but on all of Md from
+    that step until the settle is tried, so supp(u) shrinks steadily instead
+    of swinging across m/3.  Otherwise a stage ends when a line search finds
+    no ascent or after _MAX_ITERATIONS steps.  Returns u, g (exact on C | S,
+    else its value at the last refresh), whether u is a fixed point of the
+    stage (no step was taken, or it ended on a settle at a KKT point) and its
+    last norms.
     """
     m = u.shape[0]
     C, g, block, norms, S, cols, radius = _working_set(M, edges, penalty, u, g, norms)
@@ -302,16 +304,18 @@ def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, 
     held, size = 0, np.count_nonzero(uC)  # held: accepted steps in a row that kept |supp(u)|
     for _ in range(_MAX_ITERATIONS):
         outside = lapsed or radius < 0.0 or (gS > 0.0).any()  # W leaves C: g > 0 on S, or off C | S uncertified
-        if kkt := settled and not outside and not (gC[uC == 0.0] > 0.0).any():  # a KKT point: g <= 0 off P
-            break
-        if outside or (norms is None and 3 * np.count_nonzero(np.maximum(uC, gC) > 0.0) <= m):  # or W fits a block
+        kkt = settled and not outside and not (gC[uC == 0.0] > 0.0).any()  # a KKT point: g <= 0 off P
+        if outside or (not kkt and norms is None and 3 * np.count_nonzero(np.maximum(uC, gC) > 0.0) <= m):
             if moved:  # before the first step u is the caller's array
                 u = np.zeros(m)
                 u[C] = uC
             g[C], g[S] = gC, gS
             block = cols = None  # release the old cache before building the next
             C, g, block, norms, S, cols, radius = _working_set(M, edges, penalty, u, g, norms)
-            uC, gC, gS, ref = u[C], g[C], g[S], u[C]
+            uC, gC, gS, ref = u[C], g[C], g[S], u[C]  # a settle's KKT test again, on the fresh cache:
+            kkt = settled and radius >= 0.0 and not (gS > 0.0).any() and not (gC[uC == 0.0] > 0.0).any()
+        if kkt:
+            break
         if f is None:  # scored like the trials, so a trial equal to u never wins
             f = float(uC @ (gC if norms is None else uC @ block))  # all of Md: gC is that product
             alpha = 1.0 / max(1.0, abs(f))
@@ -455,8 +459,10 @@ def solve_densest(M: np.ndarray, rounding: str = "greedy_density") -> Selection:
 
     Deterministic: the start vector is M's Perron vector, by Lanczos from the
     all-ones vector, stopped at the first step from `_RITZ_FIRST` whose Ritz
-    residual passes `_RITZ_TOL`.  Each penalty stage steps until its support
-    holds, then settles on the top eigenvector there (see `_ascend`).
+    residual passes `_RITZ_TOL`.  The penalty on non-edges starts at theta/32,
+    theta >= 1 that run's Ritz value, so it is on the scale of M's own
+    products at any m, and grows x1.6.  Each penalty stage steps until its
+    support holds, then settles on the top eigenvector there (see `_ascend`).
     Rounding ranks candidates by u, then by that start vector, and by index
     only where both tie exactly; no other step reads a label.  The climb
     breaks a tie between moves by that rank only when their running sums
@@ -483,9 +489,9 @@ def _solve(M: np.ndarray, rounding: str) -> Selection:
     if m == 0:
         return Selection((), np.zeros(0), 0.0)
     edges = _edge_bits(M)
-    u = u0 = _perron_vector(M)
-    g = norms = None
-    penalty = _INITIAL_PENALTY
+    u0, theta = _perron_vector(M)
+    u, g, norms = u0, None, None
+    penalty = _INITIAL_PENALTY * theta  # on M's scale: theta is 13 at m ~ 150, 132 at m = 2220 (medians)
     while penalty <= m + 1.0:
         u, g, fixed, norms = _ascend(M, edges, penalty, u, g, norms)
         # Exact early exit: with no non-edge inside W = supp(u) | {g > 0}, g on W
