@@ -173,53 +173,45 @@ class _Penalized:
         return v @ self.M - self.penalty * (v.sum() - on)
 
 
-def _penalized(M: np.ndarray, edges: np.ndarray, penalty: float, rows: np.ndarray, cols=None) -> np.ndarray:
-    """Md[rows, cols] (all columns for None, gathered from M without copying whole rows), bitwise as
-    np.where(edges, M, -penalty): M * e + (e - 1) * penalty, e the edge rows as floats."""
-    out = M[rows] if cols is None else M[np.ix_(rows, cols)]
-    e = _edge_rows(edges, rows, M.shape[0])[:, slice(None) if cols is None else cols].astype(float)
+def _penalized(M: np.ndarray, edges: np.ndarray, penalty: float, rows: np.ndarray) -> np.ndarray:
+    """Md[rows, :], bitwise as np.where(edges, M, -penalty): M * e + (e - 1) * penalty, e the edge rows as floats."""
+    out = M[rows]
+    e = _edge_rows(edges, rows, M.shape[0]).astype(float)
     out *= e
     out += np.multiply(np.subtract(e, 1.0, out=e), penalty, out=e)
     return out
 
 
-def _screen(g: np.ndarray, norms, C: np.ndarray):
+def _screen(g: np.ndarray, norms, C: np.ndarray) -> np.ndarray:
     """Columns off C with slack -g_i / |Md[C, i]| below _SCREEN, at most |C| of them (the least slack,
-    ties by index), so Md[C, S] never outgrows the block Md[C, C]; in index order; None without norms."""
+    ties by index), so Md[C, S] never outgrows the block Md[C, C]; in index order; empty without norms."""
     if norms is None:
-        return None
+        return np.zeros(0, dtype=np.intp)
     slack = -g / norms
     slack[C] = np.inf
     S = np.flatnonzero(slack < _SCREEN)
     return S if S.size <= C.size else np.sort(S[np.argsort(slack[S], kind="stable")[: C.size]])
 
 
-def _refresh(M: np.ndarray, edges: np.ndarray, penalty: float, C: np.ndarray, v: np.ndarray, S):
+def _refresh(M: np.ndarray, edges: np.ndarray, penalty: float, C: np.ndarray, v: np.ndarray, S: np.ndarray):
     """Global refresh at v: one pass over Md[C, :], _PASS_ROWS rows at a time, never held whole: each
     block of rows is released before the next is built from M and the edge bits.
 
-    Returns g = v @ Md[C, :], the block Md[C, C], norms |Md[C, i]|, S (if None, screened by this g and
-    read after the pass), Md[C, S] and the radius: g_i(v') <= g_i(v) + |Md[C, i]| |v' - v| stays <= 0
-    off C | S while |v' - v| <= radius (less a margin for the rounding of both products), columns past
-    `_screen`'s cap included.  It is negative if some g_i off C | S is not below 0."""
+    Returns g = v @ Md[C, :], the block Md[C, C], norms |Md[C, i]|, S, Md[C, S] and the radius:
+    g_i(v') <= g_i(v) + |Md[C, i]| |v' - v| stays <= 0 off C | S while |v' - v| <= radius (less a
+    margin for the rounding of both products), columns past `_screen`'s cap included.  It is negative
+    if some g_i off C | S is not below 0."""
     m = M.shape[0]
-    g, sq, block = np.zeros(m), np.zeros(m), np.empty((C.size, C.size))
-    cols = None if S is None else np.empty((C.size, S.size))
+    g, sq, block, cols = np.zeros(m), np.zeros(m), np.empty((C.size, C.size)), np.empty((C.size, S.size))
     for i in range(0, C.size, _PASS_ROWS):
         r = slice(i, i + _PASS_ROWS)
         rows = _penalized(M, edges, penalty, C[r])
         g += v[r] @ rows
-        if cols is not None:  # indices in range: mode="clip" only skips the bounds check
-            np.take(rows, S, axis=1, out=cols[r], mode="clip")
+        np.take(rows, S, axis=1, out=cols[r], mode="clip")  # indices in range: "clip" only skips the bounds check
         sq += np.einsum("ij,ij->j", rows, rows)
         np.take(rows, C, axis=1, out=block[r], mode="clip")
         del rows
     norms = np.sqrt(sq)
-    if S is None:
-        S = _screen(g, norms, C)
-        cols = np.empty((C.size, S.size))
-        for i in range(0, C.size, _PASS_ROWS):
-            cols[i : i + _PASS_ROWS] = _penalized(M, edges, penalty, C[i : i + _PASS_ROWS], S)
     slack = -g / norms
     slack[C] = slack[S] = np.inf
     return g, block, norms, S, cols, float(slack.min()) - 4.0 * C.size * np.finfo(float).eps
@@ -284,7 +276,7 @@ def _ascend(M: np.ndarray, edges: np.ndarray, penalty: float, u: np.ndarray, g, 
     leaves C (g > 0 on S, or v left the radius) or a wide stage's W fits a
     block.  `g` is the last stage's gradient at u, or None; a larger penalty
     only lowers it, so it bounds W.  `norms`, the last stage's last column
-    norms (None after all of Md), let the first build screen before its pass.
+    norms, screen the first build's columns; after all of Md (None) it holds none.
     Once three steps in a row keep |supp(u)|, u settles: `_settle`'s
     eigenvector, unless it lowers u'(Md)u, is the step, and ends the stage if
     g <= 0 off its support, on the held cache if v is inside its radius and W

@@ -341,8 +341,6 @@ def build_affinity(
     if max_candidates is not None and a_idx.size > max_candidates:
         raise ValueError(f"candidate set of size {a_idx.size} exceeds the cap of {max_candidates}")
     candidates = list(map(_new_candidate, zip(a_idx.tolist(), b_idx.tolist())))
-    if not candidates:
-        return np.zeros((0, 0)), candidates
     distances = {
         DistanceFn.GRAFF_SHIFTED: lambda scan: internal_distance_matrix(scan, params.rho),
         DistanceFn.GR_ONLY: _gr_distance_matrix,

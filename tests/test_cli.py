@@ -317,6 +317,20 @@ class TestMatchCommand:
         assert doc["status"] == "failed"
         assert doc["failure_reason"]
 
+    @pytest.mark.parametrize("fn", ["euclidean_centroid", "gr_times_euclidean"])
+    def test_centroid_fn_without_centroids_exit_one_with_no_candidates(self, tmp_path, capsys, fn):
+        # A lines-only scan against a planes-only one, neither with centroids:
+        # no same-kind pair, yet the centroid distance functions still refuse
+        # the input (exit 1, no document), as they do when candidates exist.
+        a, b, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "m.json"
+        save_scan(a, Scan.from_elements("lines", (from_pd(LinePD([0, 0, 1], [0, 0, 0])),)))
+        save_scan(b, Scan.from_elements("planes", (from_hesse(PlaneHesse([1, 0, 0], 2.0)),)))
+        assert main(["match", str(a), str(b), "--distance-fn", fn, "--output", str(out)]) == 1
+        assert capsys.readouterr().err == "error: scan 'lines' lacks centroid metadata required by this distance function\n"
+        assert not out.exists()
+        assert main(["match", str(a), str(b), "--output", str(out)]) == 2  # graff_shifted needs no centroids
+        assert json.loads(out.read_text())["failure_reason"] == "only 0 correspondences found, need at least 3"
+
     def test_match_deterministic_bytes(self, loop_fixture, tmp_path):
         _, a, b = loop_fixture
         out1 = tmp_path / "m1.json"

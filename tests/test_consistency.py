@@ -543,6 +543,19 @@ class TestBuildAffinity:
             with pytest.raises(ValueError):
                 build_affinity(scan_i, scan_j, ConsistencyParams(), fn)
 
+    def test_centroid_fn_without_metadata_raises_with_no_candidates(self):
+        # A lines-only scan against a planes-only one has no same-kind pair,
+        # so no candidate; the missing centroids still fail fast, as they do
+        # with candidates, instead of an empty affinity.
+        rng = np.random.default_rng(21)
+        scan_i = make_scan(rng, 3, 0, scan_id="lines-only")
+        scan_j = make_scan(rng, 0, 3, scan_id="planes-only")
+        M, cands = build_affinity(scan_i, scan_j, ConsistencyParams(), DistanceFn.GR_ONLY)
+        assert M.shape == (0, 0) and cands == []
+        for fn in (DistanceFn.EUCLIDEAN_CENTROID, DistanceFn.GR_TIMES_EUCLIDEAN):
+            with pytest.raises(ValueError, match="scan 'lines-only' lacks centroid metadata"):
+                build_affinity(scan_i, scan_j, ConsistencyParams(), fn)
+
 
 def _reference_affinity(scan_i, scan_j, params, distance_fn):
     """The builder before the blockwise kernel: whole m x m score grids, exp
