@@ -5,7 +5,7 @@ indicator u maximizing the density u'Mu / u'u subject to the hard constraint
 that no two selected entries have M(i,j) = 0.  The continuous relaxation is
 solved on the nonnegative unit sphere with a geometrically growing penalty
 on constraint violations, then rounded greedily; the multi-start rule
-climbs from all its start sets at once, by steepest ascent on running sums,
+climbs from each start set in turn, by steepest ascent on running sums,
 and ranks tied candidates by u, never by label.  Each ascent step works on
 a working set C of supp(u) | {gradient > 0}, holding the penalized matrix on
 C's block and only on the columns off C that a Lipschitz certificate, set by
@@ -121,8 +121,7 @@ def _lanczos(A: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float, bool]:
     passed, at an invariant subspace (b <= _RITZ_TOL * T[0, 0]) or after min(q.size, _POWER_ITERATIONS)
     products.  The start vector and the settle both run this one schedule."""
     cap = min(q.size, _POWER_ITERATIONS)
-    rows = min(cap, 2 * _RITZ_FIRST)  # doubled on demand: most runs stop by then
-    Q, T = np.empty((rows, q.size)), np.zeros((rows, rows))  # Lanczos vectors as rows; T's lower triangle
+    Q, T = np.empty((cap, q.size)), np.zeros((cap, cap))  # Lanczos vectors as rows; T's lower triangle
     Q[0] = q
     for j in range(cap):
         w = A @ Q[j]
@@ -138,9 +137,6 @@ def _lanczos(A: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float, bool]:
             passed = b * abs(s[-1]) <= _RITZ_TOL * theta[-1]
             if last or passed:
                 break
-        if j + 1 == rows:
-            rows = min(cap, 2 * rows)
-            Q, T = np.concatenate((Q, np.empty((rows - j - 1, q.size)))), np.pad(T, (0, rows - j - 1))
         T[j + 1, j] = b
         Q[j + 1] = w / b
     return s @ Q[: j + 1], float(theta[-1]), passed
@@ -365,70 +361,55 @@ def _round_greedy(order: np.ndarray, M: np.ndarray, edges: np.ndarray, cap: int 
     return selected
 
 
-def _best_ranked(A: np.ndarray, rank: np.ndarray) -> np.ndarray:
-    """Column of each row's largest entry, a tie going to the smallest rank."""
-    k = A.argmax(axis=1)
-    for r in np.flatnonzero(k != A.shape[1] - 1 - A[:, ::-1].argmax(axis=1)):
-        tied = np.flatnonzero(A[r] == A[r, k[r]])
-        k[r] = tied[rank[tied].argmin()]
-    return k
+def _best_ranked(a: np.ndarray, rank: np.ndarray) -> int:
+    """Index of a's largest entry, a tie going to the smallest rank."""
+    tied = (a == a.max()).nonzero()[0]
+    return int(tied[rank[tied].argmin()])
 
 
-def _climb(starts: list[list[int]], rank: np.ndarray, M: np.ndarray, edges: np.ndarray) -> tuple[int, ...]:
-    """Steepest ascent of the density from each start set, all rows stepping
-    together; the densest end wins, a near tie (1e-12) going to the earlier start.
+def _climb(start: list[int], rank: np.ndarray, M: np.ndarray, edges: np.ndarray) -> tuple[float, tuple[int, ...]]:
+    """Steepest ascent of the density from one start set; returns the end's density and set.
 
-    Row state: set S, H its running sums of M, F its feasible non-members,
-    weight W and size n.  A step takes the best add (the feasible non-member
-    of largest H) or the best drop (the member of smallest H), whichever
-    leaves the larger density, a tie in H going to the better `rank`; a row
+    State: set S, h its running sums of M, F its feasible non-members, weight
+    W and size n.  A step takes the best add (the feasible non-member of
+    largest h) or the best drop (the member of smallest h), whichever leaves
+    the larger density, a tie in h going to the better `rank`; the climb
     stops when that is not more than 1e-12 above its density.  Only a bitwise
     tie goes by rank: moves that tie in exact arithmetic are ranked by the
-    rounding of the running sums, so by the order members joined.  Rows first
-    grow by adds alone (cheaper steps), then climb by adds and drops.  Sums
-    run in the order members joined, each start given in rank order, so no
-    decision reads a label.
+    rounding of the running sums, so by the order members joined.  The set
+    first grows by adds alone (cheaper steps), then climbs by adds and drops.
+    Sums run in the order members joined, the start given in rank order, so
+    no decision reads a label.
     """
-    S = np.zeros((len(starts), rank.size), dtype=bool)
-    for s, start in zip(S, starts):
-        s[start] = True
-    H = np.stack([M[start].sum(axis=0) for start in starts])
-    F = np.stack([_edge_rows(edges, start, rank.size).all(axis=0) for start in starts]) & ~S
-    W = np.array([h[start].sum() for h, start in zip(H, starts)])
-    state = [S, H, F, W, S.sum(axis=1)]  # rows are written back here as they stop
+    m = rank.size
+    S = np.zeros(m, dtype=bool)
+    S[start] = True
+    h = M[start].sum(axis=0)
+    F = _edge_rows(edges, start, m).all(axis=0) & ~S
+    W, n = h[start].sum(), len(start)
     for drops in (False, True):
-        live, (S, H, F, W, n) = np.arange(len(starts)), state
-        while live.size:
-            r = np.arange(live.size)
-            gains = np.where(F, H, -np.inf)
+        while True:
+            gains = np.where(F, h, -np.inf)
             add = _best_ranked(gains, rank)
-            grown = W + 1.0 + 2.0 * gains[r, add]  # -inf where no candidate is feasible
-            up, drop, shrunk, down = grown / (n + 1), add, grown, -np.inf
-            if drops:
-                losses = np.where(S, H, np.inf)
-                drop = _best_ranked(np.negative(losses, out=losses), rank)
-                shrunk = W + 1.0 - 2.0 * H[r, drop]
-                down = np.where(n > 1, shrunk / np.maximum(n - 1, 1), -np.inf)
-            grow = up >= down
-            go = np.where(grow, up, down) > W / n + 1e-12
-            if not go.all():
-                for full, rows in zip(state, (S, H, F, W, n)):
-                    full[live[~go]] = rows[~go]
-                live, S, H, F, W, n = live[go], S[go], H[go], F[go], W[go], n[go]
-                r, add, drop, grow, grown, shrunk = r[: live.size], add[go], drop[go], grow[go], grown[go], shrunk[go]
-            k = np.where(grow, add, drop)
-            S[r, k] = grow
-            rows = M[k]
-            rows[~grow] *= -1.0
-            H += rows
-            F &= _edge_rows(edges, k, rank.size)
-            F[r, k] = False
-            for i in np.flatnonzero(~grow):  # a drop can free candidates the dropped member blocked
-                F[i] = _edge_rows(edges, S[i], rank.size).all(axis=0) & ~S[i]
-            W, n = np.where(grow, grown, shrunk), n + np.where(grow, 1, -1)
-    S, _, _, W, n = state
-    density = W / n
-    return tuple(np.flatnonzero(S[int(np.argmax(density >= density.max() - 1e-12))]).tolist())
+            grown = W + 1.0 + 2.0 * gains[add]  # -inf where no candidate is feasible
+            up, down = grown / (n + 1), -np.inf
+            if drops and n > 1:
+                drop = _best_ranked(-np.where(S, h, np.inf), rank)
+                shrunk = W + 1.0 - 2.0 * h[drop]
+                down = shrunk / (n - 1)
+            if max(up, down) <= W / n + 1e-12:
+                break
+            if up >= down:
+                S[add], F[add] = True, False
+                h += M[add]
+                F &= _edge_rows(edges, add, m)
+                W, n = grown, n + 1
+            else:  # a drop can free candidates the dropped member blocked
+                S[drop] = False
+                h -= M[drop]
+                F = _edge_rows(edges, S, m).all(axis=0) & ~S
+                W, n = shrunk, n - 1
+    return W / n, tuple(np.flatnonzero(S).tolist())
 
 
 def _round(u: np.ndarray, u0: np.ndarray, M: np.ndarray, edges: np.ndarray, rounding: str) -> tuple[int, ...]:
@@ -443,7 +424,10 @@ def _round(u: np.ndarray, u0: np.ndarray, M: np.ndarray, edges: np.ndarray, roun
         return tuple(sorted(_round_greedy(order, M, edges, cap=max(1, int(round(float(u @ (M @ u))))))))
     # Starts: the greedy prefix of u and each of the _STARTS best-ranked candidates alone.
     starts = [_round_greedy(order, M, edges, None), *([v] for v in order[:_STARTS].tolist())]
-    return _climb(starts, np.argsort(order), M, edges)
+    rank = np.argsort(order)
+    ends = [_climb(start, rank, M, edges) for start in starts]
+    top = max(density for density, _ in ends)
+    return next(indices for density, indices in ends if density >= top - 1e-12)  # a near tie: the earlier start
 
 
 def solve_densest(M: np.ndarray, rounding: str = "greedy_density") -> Selection:
@@ -463,7 +447,7 @@ def solve_densest(M: np.ndarray, rounding: str = "greedy_density") -> Selection:
     Rounding rules: "greedy_density" chases the raw density objective
     (steepest ascent by one-candidate adds and drops from the u-ordered
     greedy prefix and from each of the 16 best-ranked candidates alone,
-    climbing together; the densest end wins); "mass_capped" rounds the
+    one start after another; the densest end wins); "mass_capped" rounds the
     u-ordered greedy prefix capped at the relaxation's mass estimate u'Mu,
     which suppresses weakly-attached vertices.  The latter suits
     correspondence selection, where a weak hanger-on can raise density yet

@@ -11,6 +11,7 @@ Random draws are taken object by object; the geometry is built on stacked arrays
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -63,6 +64,18 @@ _YAW_RANGE_RAD = np.pi           # loop-pair yaw is uniform in +-_YAW_RANGE_RAD,
 _TILT_RANGE_RAD = np.radians(5.0)  # pitch and roll in +-_TILT_RANGE_RAD
 
 
+def _check_counts_and_seed(config, *counts: str) -> None:
+    """Fail fast, naming the field, unless each count and the seed is a Python or NumPy integer (draws and
+    `range` would truncate a float or refuse it with a bare TypeError) and the seed is nonnegative."""
+    for name in (*counts, "seed"):
+        try:
+            operator.index(getattr(config, name))
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {getattr(config, name)!r}") from None
+    if config.seed < 0:
+        raise ValueError("seed must be nonnegative")
+
+
 @dataclass(frozen=True)
 class SceneConfig:
     n_lines: int = 7
@@ -72,6 +85,7 @@ class SceneConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_counts_and_seed(self, "n_lines", "n_planes")
         if self.n_lines < 0 or self.n_planes < 0:
             raise ValueError("object counts must be nonnegative")
         if not 0 < self.target_mean < np.inf:  # NaN fails too
@@ -96,6 +110,7 @@ class PairConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_counts_and_seed(self, "clutter")
         if not 0.0 <= self.overlap <= 1.0:
             raise ValueError("overlap must lie in [0, 1]")
         if not 0 <= self.baseline_m < np.inf or self.clutter < 0:  # NaN fails too
@@ -360,10 +375,9 @@ class CampaignConfig:
     centroid_extent: float = 5.0
 
     def __post_init__(self):
+        _check_counts_and_seed(self, "trials")
         if self.trials <= 0:
             raise ValueError("trials must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
         object.__setattr__(self, "tiers", tuple(self.tiers))
         for tier in self.tiers:
             if tier not in TIER_TABLE:

@@ -1606,6 +1606,17 @@ def quantized_instances():
         yield f"quantized-{seed}", quantized_matrix(rng, int(rng.integers(12, 40)))
 
 
+def best_move_density(M, edges, S):
+    """The largest density, summed afresh, of a feasible set one add or one
+    drop away from the feasible set S (asserted feasible)."""
+    assert edges[np.ix_(S, S)].all()
+    feasible = edges[:, S].all(axis=1)
+    feasible[S] = False
+    moves = [S + [int(v)] for v in np.flatnonzero(feasible)]
+    moves += [[s for s in S if s != v] for v in S] if len(S) > 1 else []
+    return max((reference_density(M, move) for move in moves), default=-np.inf)
+
+
 class TestVectorizedRounding:
     @pytest.fixture(scope="class")
     def instances(self):
@@ -1638,19 +1649,33 @@ class TestVectorizedRounding:
         # included, go to the smallest rank, whatever their label.
         A = np.array([[1.0, 3.0, 3.0, 2.0], [-np.inf] * 4, [0.0, 1.0, 2.0, 3.0], [5.0, 0.0, 0.0, 5.0]])
         rank = np.array([3, 2, 1, 0])
-        assert clique_solver._best_ranked(A, rank).tolist() == [2, 3, 3, 3]
-        assert clique_solver._best_ranked(A, rank[::-1].copy()).tolist() == [1, 0, 3, 0]
+        assert [clique_solver._best_ranked(a, rank) for a in A] == [2, 3, 3, 3]
+        assert [clique_solver._best_ranked(a, rank[::-1].copy()) for a in A] == [1, 0, 3, 0]
+
+    def test_every_start_climbs_as_the_reference(self, instances):
+        # Each of the 17 starts climbs to the reference loop's end from that
+        # start, not only the winning one.  Where the reference met a near
+        # tie, the other branch can end at another local optimum, less dense
+        # (quantized-2 has one): an end that differs need only be feasible
+        # and a local optimum.
+        for name, M in instances:
+            u = solve_densest(M).u
+            edges = binarize_constraints(M)
+            order = np.lexsort((np.arange(u.shape[0]), -_perron_vector(M)[0], -u))
+            rank, bits = np.argsort(order), clique_solver._edge_bits(M)
+            starts = [reference_round_greedy(order, M, edges, None), *([int(v)] for v in order[:16])]
+            for start in starts:
+                density, indices = clique_solver._climb(start, rank, M, bits)
+                ref_density, ref, tied = reference_climb(start, M, edges, order)
+                assert density == pytest.approx(reference_density(M, indices), rel=0, abs=1e-12), (name, start)
+                if indices != ref and tied:
+                    assert best_move_density(M, edges, list(indices)) <= density + 1e-12, (name, start)
+                    continue
+                assert indices == ref, (name, start)
 
     def test_greedy_density_ends_at_a_local_optimum(self, instances):
         # Feasible, and no single add or drop raises the density, summed
         # afresh, by more than 1e-12.
         for name, M in instances:
             S = list(solve_densest(M).indices)
-            edges = binarize_constraints(M)
-            assert edges[np.ix_(S, S)].all(), name
-            feasible = edges[:, S].all(axis=1)
-            feasible[S] = False
-            moves = [S + [int(v)] for v in np.flatnonzero(feasible)]
-            moves += [[s for s in S if s != v] for v in S] if len(S) > 1 else []
-            best = max((reference_density(M, move) for move in moves), default=-np.inf)
-            assert best <= reference_density(M, S) + 1e-12, name
+            assert best_move_density(M, binarize_constraints(M), S) <= reference_density(M, S) + 1e-12, name

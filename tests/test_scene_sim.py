@@ -354,3 +354,32 @@ class TestCampaign:
         records = run_campaign(cfg)
         assert len(records) == 2
         assert records[0].result.n_candidates == records[1].result.n_candidates
+
+
+class TestConfigIntegers:
+    @pytest.mark.parametrize(
+        "config, field, bad, message",
+        [
+            (SceneConfig, "n_lines", 2.5, "^n_lines must be an integer, got 2.5$"),
+            (SceneConfig, "n_planes", 3.7, "^n_planes must be an integer, got 3.7$"),
+            (SceneConfig, "seed", 1.5, "^seed must be an integer, got 1.5$"),
+            (SceneConfig, "seed", -1, "^seed must be nonnegative$"),
+            (PairConfig, "clutter", 2.5, "^clutter must be an integer, got 2.5$"),
+            (PairConfig, "seed", np.float64(4.0), "^seed must be an integer"),
+            (PairConfig, "seed", -1, "^seed must be nonnegative$"),
+            (CampaignConfig, "trials", 1.5, "^trials must be an integer, got 1.5$"),
+            (CampaignConfig, "seed", 1.5, "^seed must be an integer, got 1.5$"),
+            (CampaignConfig, "clutter", 2.5, "^clutter must be an integer, got 2.5$"),
+            (CampaignConfig, "n_lines", "7", "^n_lines must be an integer, got '7'$"),
+        ],
+    )
+    def test_counts_and_seeds_must_be_integers(self, config, field, bad, message):
+        with pytest.raises(ValueError, match=message):
+            config(**{field: bad})
+
+    def test_numpy_integer_counts_and_seeds_draw_as_python_ones(self):
+        scene = generate_scene(SceneConfig(n_lines=np.int64(3), n_planes=np.uint8(5), seed=np.int32(7)))
+        assert scans_equal(scene, generate_scene(SceneConfig(n_lines=3, n_planes=5, seed=7)))
+        pair = make_loop_pair(scene, PairConfig(overlap=0.8, clutter=np.int16(2), seed=np.uint64(9)))
+        twin = make_loop_pair(scene, PairConfig(overlap=0.8, clutter=2, seed=9))
+        assert scans_equal(pair.scan_j, twin.scan_j) and pair.truth_pairs == twin.truth_pairs
